@@ -1,6 +1,7 @@
 //! Activation functions, softmax and the cross-entropy loss, each with an
 //! exact backward pass.
 
+use lrd_tensor::exp::exp_inplace;
 use lrd_tensor::Tensor;
 
 /// GELU (tanh approximation, as used by BERT).
@@ -18,20 +19,47 @@ pub fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * dt
 }
 
-/// SiLU / swish, `x · σ(x)` (used by Llama's SwiGLU MLP).
-pub fn silu(x: f32) -> f32 {
-    x * sigmoid(x)
+/// `e^{-x}` element-wise, through the slice `exp` kernel.
+fn neg_exp(x: &Tensor) -> Tensor {
+    let mut e = x.map(|v| -v);
+    exp_inplace(e.data_mut());
+    e
 }
 
-/// Derivative of [`silu`].
-pub fn silu_grad(x: f32) -> f32 {
-    let s = sigmoid(x);
-    s * (1.0 + x * (1.0 - s))
+/// SwiGLU's gated activation `silu(g) · u = (g · σ(g)) · u`, element-wise
+/// (Llama's MLP), with `σ(g) = 1 / (1 + e^{-g})`.
+///
+/// # Panics
+///
+/// Panics if shapes differ.
+pub fn swiglu(gate: &Tensor, up: &Tensor) -> Tensor {
+    assert_eq!(gate.dims(), up.dims(), "swiglu shape mismatch");
+    let mut h = neg_exp(gate);
+    for ((h, &g), &u) in h.data_mut().iter_mut().zip(gate.data()).zip(up.data()) {
+        *h = g * (1.0 / (1.0 + *h)) * u;
+    }
+    h
 }
 
-/// Logistic sigmoid.
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+/// Backward pass of [`swiglu`]: given upstream `dh`, returns
+/// `(dgate, dup) = ((dh · u) · silu'(g), dh · silu(g))`, where
+/// `silu'(g) = σ(g) · (1 + g · (1 − σ(g)))`.
+///
+/// # Panics
+///
+/// Panics if shapes differ.
+pub fn swiglu_backward(gate: &Tensor, up: &Tensor, dh: &Tensor) -> (Tensor, Tensor) {
+    assert_eq!(gate.dims(), up.dims(), "swiglu backward shape mismatch");
+    assert_eq!(gate.dims(), dh.dims(), "swiglu backward shape mismatch");
+    let mut dgate = neg_exp(gate);
+    let mut dup = Tensor::zeros(gate.dims());
+    let inputs = gate.data().iter().zip(up.data()).zip(dh.data());
+    for ((dg, du), ((&g, &u), &d)) in dgate.data_mut().iter_mut().zip(dup.data_mut()).zip(inputs) {
+        let s = 1.0 / (1.0 + *dg);
+        *du = d * (g * s);
+        *dg = (d * u) * (s * (1.0 + g * (1.0 - s)));
+    }
+    (dgate, dup)
 }
 
 /// Row-wise numerically-stable softmax of a matrix.
@@ -40,24 +68,31 @@ pub fn sigmoid(x: f32) -> f32 {
 ///
 /// Panics if `x` is not order-2.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (m, n) = (x.rows(), x.cols());
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let row = x.row(i);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut out = shifted_by_row_max(x).0;
+    exp_inplace(out.data_mut());
+    for i in 0..out.rows() {
         let orow = out.row_mut(i);
-        let mut sum = 0.0f32;
-        for j in 0..n {
-            let e = (row[j] - max).exp();
-            orow[j] = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
+        let inv = 1.0 / orow.iter().fold(0.0f32, |a, &e| a + e);
         for v in orow {
             *v *= inv;
         }
     }
     out
+}
+
+/// `x[i][j] − max_j x[i][j]` for every row, and each row's max.
+fn shifted_by_row_max(x: &Tensor) -> (Tensor, Vec<f32>) {
+    let mut out = Tensor::zeros(&[x.rows(), x.cols()]);
+    let mut maxes = Vec::with_capacity(x.rows());
+    for i in 0..x.rows() {
+        let row = x.row(i);
+        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        for (o, &v) in out.row_mut(i).iter_mut().zip(row) {
+            *o = v - max;
+        }
+        maxes.push(max);
+    }
+    (out, maxes)
 }
 
 /// Backward pass of row-wise softmax: given probabilities `p` and upstream
@@ -134,15 +169,12 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
 
 /// Row-wise log-softmax (for log-likelihood scoring).
 pub fn log_softmax_rows(x: &Tensor) -> Tensor {
-    let (m, n) = (x.rows(), x.cols());
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let row = x.row(i);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-        let orow = out.row_mut(i);
-        for j in 0..n {
-            orow[j] = row[j] - lse;
+    let (mut out, maxes) = shifted_by_row_max(x);
+    exp_inplace(out.data_mut());
+    for (i, &max) in maxes.iter().enumerate() {
+        let lse = max + out.row(i).iter().sum::<f32>().ln();
+        for (o, &v) in out.row_mut(i).iter_mut().zip(x.row(i)) {
+            *o = v - lse;
         }
     }
     out
@@ -171,9 +203,20 @@ mod tests {
 
     #[test]
     fn silu_matches_finite_difference() {
+        // With u = 1 and dh = 1, swiglu is silu and dgate is silu'.
+        let silu = |x: f32| {
+            swiglu(
+                &Tensor::from_vec(&[1, 1], vec![x]),
+                &Tensor::full(&[1, 1], 1.0),
+            )
+            .data()[0]
+        };
         for &x in &[-4.0f32, -1.0, 0.0, 1.0, 3.0] {
+            let one = Tensor::full(&[1, 1], 1.0);
+            let (dgate, dup) = swiglu_backward(&Tensor::from_vec(&[1, 1], vec![x]), &one, &one);
             let fd = finite_diff(silu, x);
-            assert!((silu_grad(x) - fd).abs() < 1e-2);
+            assert!((dgate.data()[0] - fd).abs() < 1e-2);
+            assert_eq!(dup.data()[0], silu(x));
         }
     }
 

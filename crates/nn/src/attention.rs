@@ -11,6 +11,7 @@ use crate::decode::DecodeError;
 use crate::linear::{AnyLinear, AnyLinearCache};
 use crate::param::Param;
 use crate::rope::Rope;
+use lrd_tensor::exp::exp_inplace;
 use lrd_tensor::matmul::{matmul, matmul_transa, matmul_transb};
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
@@ -91,15 +92,102 @@ impl KvCache {
         self.len += 1;
         Ok(())
     }
+}
 
-    fn key_slice(&self, t: usize, kv_head: usize, head_dim: usize) -> &[f32] {
-        let base = t * self.width + kv_head * head_dim;
-        &self.k[base..base + head_dim]
+/// `out[t] = (q · K[t][off..off + q.len()]) · scale` for every cached
+/// row `t < out.len()` of the row-major `keys` (rows `width` wide). Four
+/// keys run interleaved; each dot still accumulates over `d` in order,
+/// starting from `-0.0` as `Iterator::sum` does.
+#[inline(always)]
+fn key_scores(q: &[f32], keys: &[f32], width: usize, off: usize, scale: f32, out: &mut [f32]) {
+    let hd = q.len();
+    let key = |t: usize| &keys[t * width + off..t * width + off + hd];
+    let done = out.len() - out.len() % 4;
+    for (n, quad) in out[..done].chunks_exact_mut(4).enumerate() {
+        let t = 4 * n;
+        let (k0, k1, k2, k3) = (key(t), key(t + 1), key(t + 2), key(t + 3));
+        let mut acc = [-0.0f32; 4];
+        for j in 0..hd {
+            acc[0] += q[j] * k0[j];
+            acc[1] += q[j] * k1[j];
+            acc[2] += q[j] * k2[j];
+            acc[3] += q[j] * k3[j];
+        }
+        for (o, a) in quad.iter_mut().zip(acc) {
+            *o = a * scale;
+        }
     }
+    for (t, o) in out.iter_mut().enumerate().skip(done) {
+        let dot: f32 = q.iter().zip(key(t)).map(|(&a, &b)| a * b).sum();
+        *o = dot * scale;
+    }
+}
 
-    fn value_slice(&self, t: usize, kv_head: usize, head_dim: usize) -> &[f32] {
-        let base = t * self.width + kv_head * head_dim;
-        &self.v[base..base + head_dim]
+/// Decode attention of one session over its whole cache, every head:
+/// `out[h] = softmax(q_h · K_kv(h)ᵀ · scale) · V_kv(h)`, with `group`
+/// query heads per KV head. `scores` holds at least `n_heads · len`.
+///
+/// `HD` is the head width, fixed at compile time so the value sum runs
+/// in a register array; `HD = 0` is the generic fallback for any other
+/// width (`q.len() / n_heads`), which accumulates in `out` itself (zero
+/// on entry). All heads' scores go through one [`exp_inplace`] call.
+#[inline(always)]
+fn attend_session<const HD: usize>(
+    q: &[f32],
+    cache: &KvCache,
+    n_heads: usize,
+    group: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let hd = if HD == 0 { q.len() / n_heads } else { HD };
+    let (width, len) = (cache.width, cache.len());
+    if len == 0 || hd == 0 {
+        return;
+    }
+    let scores = &mut scores[..n_heads * len];
+    for (h, row) in scores.chunks_exact_mut(len).enumerate() {
+        key_scores(
+            &q[h * hd..(h + 1) * hd],
+            &cache.k,
+            width,
+            (h / group) * hd,
+            scale,
+            row,
+        );
+        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        for s in row.iter_mut() {
+            *s -= max;
+        }
+    }
+    exp_inplace(scores);
+    for (h, (row, out)) in scores
+        .chunks_exact_mut(len)
+        .zip(out.chunks_exact_mut(hd))
+        .enumerate()
+    {
+        let sum = row.iter().fold(0.0f32, |a, &e| a + e);
+        for s in row.iter_mut() {
+            *s /= sum;
+        }
+        let off = (h / group) * hd;
+        let value = |t: usize| &cache.v[t * width + off..t * width + off + hd];
+        if HD == 0 {
+            for (t, &p) in row.iter().enumerate() {
+                for (o, &vv) in out.iter_mut().zip(value(t)) {
+                    *o += p * vv;
+                }
+            }
+        } else {
+            let mut acc = [0.0f32; HD];
+            for (t, &p) in row.iter().enumerate() {
+                for (a, &vv) in acc.iter_mut().zip(value(t)) {
+                    *a += p * vv;
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
     }
 }
 
@@ -314,42 +402,36 @@ impl MultiHeadAttention {
             cache.push(k.row(i), v.row(i))?;
         }
 
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let ctx = self.attend_caches(&q, caches);
+        Ok(self.wo.infer(&ctx))
+    }
+
+    /// Decode attention: row `i` of the result holds, for every head `h`,
+    /// `softmax(q_h · K_kv(h)ᵀ / √hd) · V_kv(h)` over session `i`'s whole
+    /// cache, where `q` row `i` is that session's rotated query.
+    ///
+    /// One scores buffer serves the whole call. Per element the arithmetic
+    /// is fixed: each key dot runs over `d` in order from `-0.0` (four keys
+    /// interleaved for throughput), the softmax subtracts the max,
+    /// exponentiates through [`exp_inplace`], sums in order and divides,
+    /// and the value sum accumulates over `t` in order from `0.0`. Head
+    /// width 10, the served tiny-Llama's, is specialised; any other takes
+    /// the generic path.
+    fn attend_caches(&self, q: &Tensor, caches: &[&mut KvCache]) -> Tensor {
+        let hd = self.head_dim;
+        let scale = 1.0 / (hd as f32).sqrt();
         let group = self.n_heads / self.n_kv_heads;
-        let mut ctx = Tensor::zeros(&[s_count, self.n_heads * self.head_dim]);
+        let longest = caches.iter().map(|c| c.len()).max().unwrap_or(0);
+        let mut scores = vec![0.0f32; self.n_heads * longest];
+        let mut ctx = Tensor::zeros(&[caches.len(), self.n_heads * hd]);
         for (i, cache) in caches.iter().enumerate() {
-            let ctx_len = cache.len();
-            for h in 0..self.n_heads {
-                let kv_h = h / group;
-                let qh = &q.row(i)[h * self.head_dim..(h + 1) * self.head_dim];
-                // Scores against every cached key of this session.
-                let mut scores = Vec::with_capacity(ctx_len);
-                for t in 0..ctx_len {
-                    let kh = cache.key_slice(t, kv_h, self.head_dim);
-                    let dot: f32 = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum();
-                    scores.push(dot * scale);
-                }
-                // Softmax.
-                let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                let mut sum = 0.0f32;
-                for s in &mut scores {
-                    *s = (*s - max).exp();
-                    sum += *s;
-                }
-                for s in &mut scores {
-                    *s /= sum;
-                }
-                // Weighted value sum.
-                let out = &mut ctx.row_mut(i)[h * self.head_dim..(h + 1) * self.head_dim];
-                for (t, &s) in scores.iter().enumerate().take(ctx_len) {
-                    let vh = cache.value_slice(t, kv_h, self.head_dim);
-                    for (o, &vv) in out.iter_mut().zip(vh) {
-                        *o += s * vv;
-                    }
-                }
+            let (q, out, nh) = (q.row(i), ctx.row_mut(i), self.n_heads);
+            match hd {
+                10 => attend_session::<10>(q, cache, nh, group, scale, &mut scores, out),
+                _ => attend_session::<0>(q, cache, nh, group, scale, &mut scores, out),
             }
         }
-        Ok(self.wo.infer(&ctx))
+        ctx
     }
 
     /// Forward pass over `x ((B·T) × d)` laid out batch-major.
@@ -557,6 +639,97 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrd_tensor::exp::exp_matches_f32_exp;
+    use proptest::prelude::*;
+
+    /// The scalar decode-attention loop [`MultiHeadAttention::attend_caches`]
+    /// replaced: a fresh scores `Vec` per (session, head), one key dot at a
+    /// time, `f32::exp`, and the value sum accumulated straight into `ctx`.
+    fn attend_caches_reference(a: &MultiHeadAttention, q: &Tensor, caches: &[KvCache]) -> Tensor {
+        let hd = a.head_dim;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let group = a.n_heads / a.n_kv_heads;
+        let mut ctx = Tensor::zeros(&[caches.len(), a.n_heads * hd]);
+        for (i, cache) in caches.iter().enumerate() {
+            let ctx_len = cache.len();
+            for h in 0..a.n_heads {
+                let base = (h / group) * hd;
+                let qh = &q.row(i)[h * hd..(h + 1) * hd];
+                let mut scores = Vec::with_capacity(ctx_len);
+                for t in 0..ctx_len {
+                    let kh = &cache.k[t * cache.width + base..][..hd];
+                    let dot: f32 = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum();
+                    scores.push(dot * scale);
+                }
+                let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+                let mut sum = 0.0f32;
+                for s in &mut scores {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                for s in &mut scores {
+                    *s /= sum;
+                }
+                let out = &mut ctx.row_mut(i)[h * hd..(h + 1) * hd];
+                for (t, &s) in scores.iter().enumerate() {
+                    let vh = &cache.v[t * cache.width + base..][..hd];
+                    for (o, &vv) in out.iter_mut().zip(vh) {
+                        *o += s * vv;
+                    }
+                }
+            }
+        }
+        ctx
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The interleaved, register-blocked kernel gives the reference's
+        /// bits for the specialised (10) and generic (8, 12, 16) head widths,
+        /// with and without GQA, over every batch and context length.
+        #[test]
+        fn decode_attention_matches_scalar_reference_bit_for_bit(
+            hd_ix in 0usize..4,
+            heads_ix in 0usize..6,
+            max_seq in 1usize..=64,
+            batch in 1usize..=33,
+            large_scores in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // Off glibc `f32::exp` in the reference is no bit-exact match.
+            if !exp_matches_f32_exp() {
+                return Ok(());
+            }
+            let head_dim = [8usize, 10, 16, 12][hd_ix];
+            let (n_heads, n_kv_heads) = [(1usize, 1usize), (2, 2), (4, 4), (4, 2), (4, 1), (6, 3)][heads_ix];
+            // Large queries push score gaps past 88, into exp's special path.
+            let q_scale = if large_scores { 40.0 } else { 1.0 };
+            let mut rng = Rng64::new(seed);
+            let d_model = n_heads * head_dim;
+            let a = MultiHeadAttention::new(d_model, n_heads, n_kv_heads, max_seq, true, true, false, &mut rng);
+            let width = n_kv_heads * head_dim;
+            let mut caches: Vec<KvCache> = (0..batch)
+                .map(|i| {
+                    let mut c = KvCache::with_bounds(max_seq, width);
+                    // Context lengths cover 1..=max_seq across the batch.
+                    let len = 1 + (i * 7 + seed as usize % 5) % max_seq;
+                    for _ in 0..len {
+                        let k = Tensor::randn(&[1, width], &mut rng);
+                        let v = Tensor::randn(&[1, width], &mut rng);
+                        c.push(k.data(), v.data()).expect("within bounds");
+                    }
+                    c
+                })
+                .collect();
+            let q = Tensor::randn(&[batch, d_model], &mut rng).scale(q_scale);
+            let want = attend_caches_reference(&a, &q, &caches);
+            let refs: Vec<&mut KvCache> = caches.iter_mut().collect();
+            let got = a.attend_caches(&q, &refs);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
 
     fn attn(causal: bool, rope: bool, seed: u64) -> MultiHeadAttention {
         let mut rng = Rng64::new(seed);

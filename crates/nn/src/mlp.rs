@@ -4,7 +4,7 @@
 //! The weight tensors here are the MLP-side decomposable tensors of the
 //! paper (Fig. 4): `W_Int`/`W_O` for BERT and `W_G`/`W_U`/`W_D` for Llama.
 
-use crate::act::{gelu, gelu_grad, silu, silu_grad};
+use crate::act::{gelu, gelu_grad, swiglu, swiglu_backward};
 use crate::linear::{AnyLinear, AnyLinearCache};
 use crate::param::Param;
 use lrd_tensor::rng::Rng64;
@@ -129,7 +129,7 @@ impl SwiGluMlp {
     pub fn forward(&self, x: &Tensor) -> (Tensor, SwiGluCache) {
         let (gate_pre, gate_cache) = self.gate.forward(x);
         let (up_out, up_cache) = self.up.forward(x);
-        let h = ew(&gate_pre, &up_out, |g, u| silu(g) * u);
+        let h = swiglu(&gate_pre, &up_out);
         let (y, down_cache) = self.down.forward(&h);
         (
             y,
@@ -147,20 +147,14 @@ impl SwiGluMlp {
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let gate_pre = self.gate.infer(x);
         let up_out = self.up.infer(x);
-        let h = ew(&gate_pre, &up_out, |g, u| silu(g) * u);
+        let h = swiglu(&gate_pre, &up_out);
         self.down.infer(&h)
     }
 
     /// Backward pass; returns `dx`.
     pub fn backward(&mut self, cache: &SwiGluCache, dy: &Tensor) -> Tensor {
         let dh = self.down.backward(&cache.down_cache, dy);
-        // h = silu(g) ⊙ u  ⇒  dg = dh ⊙ u ⊙ silu'(g),  du = dh ⊙ silu(g)
-        let dgate = ew(
-            &ew(&dh, &cache.up_out, |g, u| g * u),
-            &cache.gate_pre,
-            |g, pre| g * silu_grad(pre),
-        );
-        let dup = ew(&dh, &cache.gate_pre, |g, pre| g * silu(pre));
+        let (dgate, dup) = swiglu_backward(&cache.gate_pre, &cache.up_out, &dh);
         let mut dx = self.gate.backward(&cache.gate_cache, &dgate);
         dx.axpy(1.0, &self.up.backward(&cache.up_cache, &dup));
         dx

@@ -1,10 +1,11 @@
 //! Property-based tests for the transformer stack.
 
-use lrd_nn::act::{cross_entropy, log_softmax_rows, softmax_rows};
+use lrd_nn::act::{cross_entropy, log_softmax_rows, softmax_rows, swiglu, swiglu_backward};
 use lrd_nn::linear::{FactoredLinear, Linear};
 use lrd_nn::norm::{LayerNorm, RmsNorm};
 use lrd_nn::rope::Rope;
 use lrd_nn::{ArchKind, TransformerConfig, TransformerLm};
+use lrd_tensor::exp::exp_matches_f32_exp;
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::tucker::tucker2;
 use lrd_tensor::Tensor;
@@ -174,5 +175,100 @@ proptest! {
         let lsm = log_softmax_rows(&logits);
         let manual = lsm.get(&[1, 3]) + lsm.get(&[2, 4]);
         prop_assert!((lp - manual).abs() < 1e-4);
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Logits of `m` rows, with a causal mask's `-inf` above the diagonal
+/// when `causal`; `scale` reaches exp's special path past a gap of 88.
+fn masked_logits(seed: u64, m: usize, n: usize, scale: f32, causal: bool) -> Tensor {
+    let mut x = Tensor::randn_scaled(&[m, n], scale, &mut Rng64::new(seed));
+    if causal {
+        for i in 0..m {
+            for v in x.row_mut(i).iter_mut().skip(i + 1) {
+                *v = f32::NEG_INFINITY;
+            }
+        }
+    }
+    x
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn softmax_rows_matches_scalar_formula_bit_for_bit(
+        seed in any::<u64>(), m in 1usize..9, n in 1usize..40, wide in any::<bool>(), causal in any::<bool>(),
+    ) {
+        // Off glibc the scalar formulas are no bit-exact reference.
+        if !exp_matches_f32_exp() {
+            return Ok(());
+        }
+        let x = masked_logits(seed, m, n, if wide { 60.0 } else { 2.0 }, causal);
+        let mut want = Tensor::zeros(&[m, n]);
+        for i in 0..m {
+            let row = x.row(i);
+            let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let mut sum = 0.0f32;
+            for (o, &v) in want.row_mut(i).iter_mut().zip(row) {
+                *o = (v - max).exp();
+                sum += *o;
+            }
+            let inv = 1.0 / sum;
+            for o in want.row_mut(i) {
+                *o *= inv;
+            }
+        }
+        prop_assert_eq!(bits(&softmax_rows(&x)), bits(&want));
+    }
+
+    #[test]
+    fn log_softmax_rows_matches_scalar_formula_bit_for_bit(
+        seed in any::<u64>(), m in 1usize..9, n in 1usize..40, wide in any::<bool>(), causal in any::<bool>(),
+    ) {
+        // Off glibc the scalar formulas are no bit-exact reference.
+        if !exp_matches_f32_exp() {
+            return Ok(());
+        }
+        let x = masked_logits(seed, m, n, if wide { 60.0 } else { 2.0 }, causal);
+        let mut want = Tensor::zeros(&[m, n]);
+        for i in 0..m {
+            let row = x.row(i);
+            let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
+            for (o, &v) in want.row_mut(i).iter_mut().zip(row) {
+                *o = v - lse;
+            }
+        }
+        prop_assert_eq!(bits(&log_softmax_rows(&x)), bits(&want));
+    }
+
+    #[test]
+    fn swiglu_matches_scalar_formula_bit_for_bit(
+        seed in any::<u64>(), m in 1usize..9, n in 1usize..40, wide in any::<bool>(),
+    ) {
+        // Off glibc the scalar formulas are no bit-exact reference.
+        if !exp_matches_f32_exp() {
+            return Ok(());
+        }
+        let mut rng = Rng64::new(seed);
+        let scale = if wide { 60.0 } else { 3.0 };
+        let g = Tensor::randn_scaled(&[m, n], scale, &mut rng);
+        let u = Tensor::randn(&[m, n], &mut rng);
+        let dh = Tensor::randn(&[m, n], &mut rng);
+        let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
+        let h = g.zip(&u, |g, u| g * sigmoid(g) * u).expect("same shape");
+        let du = dh.zip(&g, |d, g| d * (g * sigmoid(g))).expect("same shape");
+        let dg = dh
+            .zip(&u, |d, u| d * u)
+            .and_then(|du| du.zip(&g, |d, g| d * (sigmoid(g) * (1.0 + g * (1.0 - sigmoid(g))))))
+            .expect("same shape");
+        prop_assert_eq!(bits(&swiglu(&g, &u)), bits(&h));
+        let (got_dg, got_du) = swiglu_backward(&g, &u, &dh);
+        prop_assert_eq!(bits(&got_dg), bits(&dg));
+        prop_assert_eq!(bits(&got_du), bits(&du));
     }
 }

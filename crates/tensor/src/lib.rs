@@ -19,6 +19,8 @@
 //!   (Algorithm 1 of the paper), with the 2-D fast path
 //!   `T(n1, n2) ≈ U1(n1, pr) · Γ(pr, pr) · U2(pr, n2)` used to factor
 //!   transformer weight matrices.
+//! * [`exp`] — a slice `exp` whose AVX2 path is bit-identical to glibc's
+//!   `expf`, for softmax and SiLU.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256++) so every experiment
 //!   in the workspace is reproducible bit-for-bit.
 //!
@@ -44,6 +46,7 @@
 pub mod cp;
 pub mod dtype;
 pub mod error;
+pub mod exp;
 pub mod kernel;
 pub mod matmul;
 pub mod pack;
