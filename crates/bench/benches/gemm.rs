@@ -4,7 +4,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use lrd_tensor::dtype::KernelDtype;
 use lrd_tensor::kernel::Backend;
 use lrd_tensor::matmul::{
-    batched_matmul, matmul, matmul_transa, matmul_transb, matmul_with, matvec, matvec_transb,
+    batched_matmul, factored_matmul, matmul, matmul_transa, matmul_transb, matmul_with, matvec,
+    matvec_transb,
 };
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
@@ -79,6 +80,42 @@ fn bench_token_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_decode_shapes(c: &mut Criterion) {
+    // The products one serve pass runs, all read in place without packing:
+    // tiny_llama's projection slots (d_model 40, d_ff 112) and its 40×256
+    // lm_head at decode batch heights, dense and as rank-1 factored
+    // products. Then the largest one-block weights (k = KC = 256, n = 256
+    // and NC = 1024) at m = 32 and m = MC = 120, on both sides of the
+    // route's `m·n ≤ 32·NC` bound.
+    let mut rng = Rng64::new(11);
+    let mut group = c.benchmark_group("gemm_decode_shapes");
+    for m in [1usize, 13, 32] {
+        for (k, n) in [(40usize, 40usize), (40, 112), (112, 40), (40, 256)] {
+            let x = Tensor::randn(&[m, k], &mut rng);
+            let w = Tensor::randn(&[k, n], &mut rng);
+            group.bench_function(format!("dense_{k}x{n}/m{m}"), |b| {
+                b.iter(|| matmul(black_box(&x), black_box(&w)));
+            });
+            let u1 = Tensor::randn(&[k, 1], &mut rng);
+            let core = Tensor::randn(&[1, 1], &mut rng);
+            let u2 = Tensor::randn(&[1, n], &mut rng);
+            group.bench_function(format!("rank1_{k}x{n}/m{m}"), |b| {
+                b.iter(|| factored_matmul(black_box(&x), &u1, &core, &u2));
+            });
+        }
+    }
+    for m in [32usize, 120] {
+        for n in [256usize, 1024] {
+            let x = Tensor::randn(&[m, 256], &mut rng);
+            let w = Tensor::randn(&[256, n], &mut rng);
+            group.bench_function(format!("dense_256x{n}/m{m}"), |b| {
+                b.iter(|| matmul(black_box(&x), black_box(&w)));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_batched(c: &mut Criterion) {
     let mut rng = Rng64::new(10);
     let a = Tensor::randn(&[64, 24, 10], &mut rng);
@@ -93,6 +130,7 @@ criterion_group!(
     bench_square,
     bench_square_dtypes,
     bench_token_shapes,
+    bench_decode_shapes,
     bench_batched
 );
 criterion_main!(benches);

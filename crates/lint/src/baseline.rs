@@ -51,7 +51,10 @@ impl Baseline {
                 return Err("unterminated `id` string".into());
             };
             let id = &tail[..end];
-            if id.len() != 16 || !id.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+            if id.len() != 16
+                || !id
+                    .bytes()
+                    .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
             {
                 return Err(format!(
                     "`{id}` is not a finding id (16 lowercase hex chars)"
@@ -69,8 +72,7 @@ impl Baseline {
     ///
     /// I/O errors and parse errors, with the path in the message.
     pub fn load(path: &std::path::Path) -> Result<Baseline, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
@@ -152,7 +154,12 @@ mod tests {
     #[test]
     fn ids_are_line_and_digit_stable() {
         let a = Finding::new("no-panic", "f.rs".into(), 3, "reaches 4 panic sites".into());
-        let b = Finding::new("no-panic", "f.rs".into(), 99, "reaches 7 panic sites".into());
+        let b = Finding::new(
+            "no-panic",
+            "f.rs".into(),
+            99,
+            "reaches 7 panic sites".into(),
+        );
         assert_eq!(a.id, b.id);
         let c = Finding::new("no-panic", "f.rs".into(), 3, "different message".into());
         assert_ne!(a.id, c.id);

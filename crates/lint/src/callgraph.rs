@@ -97,7 +97,10 @@ mod tests {
     use super::*;
 
     fn ws(src: &str) -> Workspace {
-        Workspace::from_memory(vec![("crates/core/src/a.rs".to_string(), src.to_string())], None)
+        Workspace::from_memory(
+            vec![("crates/core/src/a.rs".to_string(), src.to_string())],
+            None,
+        )
     }
 
     fn idx(syms: &SymbolTable, ws: &Workspace, name: &str) -> usize {

@@ -66,10 +66,10 @@ impl Lint for DeterminismTaint {
         // runtime/bench binaries (the sweeps' actual roots).
         let mut entries = Vec::new();
         let mut barrier = vec![false; n];
-        for i in 0..n {
+        for (i, is_barrier) in barrier.iter_mut().enumerate() {
             let (file, f) = an.syms.fn_at(ws, i);
             if DETERMINISM_ALLOWLIST.contains(&file.rel.as_str()) {
-                barrier[i] = true;
+                *is_barrier = true;
             }
             let Some(crate_name) = file.crate_name.as_deref() else {
                 continue;
@@ -77,9 +77,7 @@ impl Lint for DeterminismTaint {
             let runtime = RUNTIME_CRATES.contains(&crate_name);
             let is_entry = match file.kind {
                 FileKind::Lib => runtime && f.is_pub && !file.is_test_line(f.line),
-                FileKind::Bin => {
-                    (runtime || crate_name == "bench") && f.name == "main"
-                }
+                FileKind::Bin => (runtime || crate_name == "bench") && f.name == "main",
                 _ => false,
             };
             if is_entry {
@@ -143,7 +141,7 @@ fn find_sources(
             && code.get(i + 1).is_some_and(|n| n.is_punct('('))
         {
             let mut j = i - 1; // the `.`
-            // Skip one `.lock()` / `.borrow()` hop.
+                               // Skip one `.lock()` / `.borrow()` hop.
             if j >= 4
                 && code[j - 1].is_punct(')')
                 && code[j - 2].is_punct('(')
@@ -215,7 +213,11 @@ fn find_sources(
 /// (scanning a little before `start` would catch the signature, so the
 /// caller passes the body range and we additionally scan the enclosing
 /// signature tokens just before the body).
-fn collect_hash_vars(code: &[Token], start: usize, end: usize) -> std::collections::BTreeSet<String> {
+fn collect_hash_vars(
+    code: &[Token],
+    start: usize,
+    end: usize,
+) -> std::collections::BTreeSet<String> {
     let mut vars = std::collections::BTreeSet::new();
     // Parameters: walk back from the body's `{` to the matching `fn`,
     // collecting `name: …HashMap…` pairs.

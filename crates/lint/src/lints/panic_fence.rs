@@ -62,10 +62,11 @@ impl Lint for PanicFence {
             let (file, f) = an.syms.fn_at(ws, i);
             let Some((start, end)) = f.body else { continue };
             let code = &file.items.code;
-            for k in start..end.min(code.len()) {
-                if code[k].is_ident("catch_unwind") {
-                    fenced[i] = true;
-                }
+            if code
+                .get(start..end.min(code.len()))
+                .is_some_and(|body| body.iter().any(|t| t.is_ident("catch_unwind")))
+            {
+                fenced[i] = true;
             }
             panic_sites[i] = find_panic_sites(file, start, end);
         }

@@ -144,9 +144,10 @@ impl SymbolTable {
                 if file.is_test_line(f.line) {
                     return false;
                 }
-                let (Some(from), Some(to)) =
-                    (caller_file.crate_name.as_deref(), file.crate_name.as_deref())
-                else {
+                let (Some(from), Some(to)) = (
+                    caller_file.crate_name.as_deref(),
+                    file.crate_name.as_deref(),
+                ) else {
                     return true; // top-level tests/ files see everything
                 };
                 if from == to {
@@ -246,7 +247,10 @@ mod tests {
         let hits = t.resolve(&ws, &ws.files[0], "caller", call);
         assert_eq!(hits.len(), 1);
         let (file, f) = t.fn_at(&ws, hits[0]);
-        assert_eq!((file.rel.as_str(), f.name.as_str()), ("crates/core/src/b.rs", "helper"));
+        assert_eq!(
+            (file.rel.as_str(), f.name.as_str()),
+            ("crates/core/src/b.rs", "helper")
+        );
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   as the fallback and as the reference side of the scalar-vs-SIMD
 //!   property tests.
 //!
+//! [`gemm_unpacked`] runs the same tiles straight from row-major operands,
+//! for products small enough that packing would only copy them.
+//!
 //! Setting `LRD_FORCE_SCALAR=1` in the environment pins dispatch to the
 //! scalar kernel (CI runs the suite both ways so the portable path cannot
 //! rot).
@@ -200,6 +203,184 @@ unsafe fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: 
             let dst = cp.add(r * ldc);
             _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), lo));
             _mm256_storeu_ps(dst.add(8), _mm256_add_ps(_mm256_loadu_ps(dst.add(8)), hi));
+        }
+    }
+}
+
+/// `C += A · B` for a product that fits one block of the packed engine
+/// (`k ≤ KC`), reading the operands where they lie: `a` is row-major `m × k`,
+/// `b` row-major `k × n`, `c` row-major `m × n`.
+///
+/// The packed engine would copy every element of such a product into its
+/// panels once and read it back once, so this kernel skips the copy. It
+/// walks the same `MR × NR` tiles (`NR`-column strips outer, `MR`-row
+/// tiles inner, a short last tile where `m % MR != 0`) and masks the
+/// ragged right edge instead of zero-padding it. Each C element still
+/// accumulates its products from zero over `k` in order and is then added
+/// to C once, so on a single `KC` block the bits equal [`microkernel`]'s
+/// for the same backend.
+pub fn gemm_unpacked(
+    backend: Backend,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    match backend {
+        Backend::Scalar => gemm_unpacked_scalar(m, k, n, a, b, c),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only ever constructed after runtime detection,
+        // and the assert above gives the slice bounds the kernel relies on.
+        Backend::Avx2Fma => unsafe { gemm_unpacked_avx2(m, k, n, a, b, c) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2Fma => gemm_unpacked_scalar(m, k, n, a, b, c),
+    }
+}
+
+/// Portable twin of the unpacked AVX2 kernel, in [`microkernel_scalar`]'s
+/// accumulation order.
+fn gemm_unpacked_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        for i0 in (0..m).step_by(MR) {
+            let mr = MR.min(m - i0);
+            let mut acc = [[0.0f32; NR]; MR];
+            for kk in 0..k {
+                let brow = &b[kk * n + j0..][..nr];
+                for (r, accr) in acc[..mr].iter_mut().enumerate() {
+                    let ar = a[(i0 + r) * k + kk];
+                    for (av, &bv) in accr.iter_mut().zip(brow) {
+                        *av += ar * bv;
+                    }
+                }
+            }
+            for (r, accr) in acc[..mr].iter().enumerate() {
+                let crow = &mut c[(i0 + r) * n + j0..][..nr];
+                for (cv, &av) in crow.iter_mut().zip(accr) {
+                    *cv += av;
+                }
+            }
+        }
+    }
+}
+
+/// AVX2+FMA unpacked kernel: strips of `NR` columns, each swept by
+/// `R`-row tiles with `R` fixed at compile time.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA, that `m`, `k`, `n`
+/// are non-zero, and that `a`, `b`, `c` hold at least `m·k`, `k·n`, `m·n`
+/// values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gemm_unpacked_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        let mut i0 = 0;
+        while i0 < m {
+            let mr = MR.min(m - i0);
+            // SAFETY: rows `i0..i0 + mr` and columns `j0..j0 + nr` lie
+            // inside the `m × k`, `k × n`, `m × n` operands the caller
+            // vouches for, which is the tile contract.
+            unsafe {
+                let (at, bt, ct) = (ap.add(i0 * k), bp.add(j0), cp.add(i0 * n + j0));
+                match mr {
+                    6 => tile_avx2::<6>(k, n, at, bt, ct, nr),
+                    5 => tile_avx2::<5>(k, n, at, bt, ct, nr),
+                    4 => tile_avx2::<4>(k, n, at, bt, ct, nr),
+                    3 => tile_avx2::<3>(k, n, at, bt, ct, nr),
+                    2 => tile_avx2::<2>(k, n, at, bt, ct, nr),
+                    _ => tile_avx2::<1>(k, n, at, bt, ct, nr),
+                }
+            }
+            i0 += mr;
+        }
+    }
+}
+
+/// One `R × nr` tile of [`gemm_unpacked_avx2`] (`nr ≤ NR`): `R` broadcasts
+/// from A rows of stride `k` and two B loads of row stride `n` per k-step,
+/// into `2·R` accumulators that are added to C once at the end. A ragged
+/// tile (`nr < NR`) loads and stores through lane masks, so no lane past
+/// column `nr` is read or written.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA, that `a` addresses
+/// `R` rows of `k` values at stride `k`, that `b` addresses `k` rows of
+/// `nr` values at stride `n`, and that `c` addresses `R` rows of `nr`
+/// values at stride `n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn tile_avx2<const R: usize>(
+    k: usize,
+    n: usize,
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    nr: usize,
+) {
+    use core::arch::x86_64::*;
+    /// Lane masks: the 8 lanes starting at `8 - w` enable the first `w`.
+    const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let mut lo = [_mm256_setzero_ps(); R];
+    let mut hi = [_mm256_setzero_ps(); R];
+    // SAFETY: the caller upholds this fn's contract. Full tiles touch only
+    // the `R × NR` tile. Ragged tiles touch memory only through
+    // `maskload`/`maskstore`, which never access a disabled lane; their
+    // second-half address is formed with `wrapping_add`, so it need not lie
+    // inside the operand when all its lanes are disabled.
+    unsafe {
+        if nr == NR {
+            for kk in 0..k {
+                let brow = b.add(kk * n);
+                let b0 = _mm256_loadu_ps(brow);
+                let b1 = _mm256_loadu_ps(brow.add(8));
+                for r in 0..R {
+                    let ar = _mm256_broadcast_ss(&*a.add(r * k + kk));
+                    lo[r] = _mm256_fmadd_ps(ar, b0, lo[r]);
+                    hi[r] = _mm256_fmadd_ps(ar, b1, hi[r]);
+                }
+            }
+            for r in 0..R {
+                let dst = c.add(r * n);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), lo[r]));
+                _mm256_storeu_ps(
+                    dst.add(8),
+                    _mm256_add_ps(_mm256_loadu_ps(dst.add(8)), hi[r]),
+                );
+            }
+        } else {
+            let lanes = LANES.as_ptr();
+            let m0 = _mm256_loadu_si256(lanes.add(8 - nr.min(8)) as *const __m256i);
+            let m1 = _mm256_loadu_si256(lanes.add(8 - nr.saturating_sub(8)) as *const __m256i);
+            for kk in 0..k {
+                let brow = b.add(kk * n);
+                let b0 = _mm256_maskload_ps(brow, m0);
+                let b1 = _mm256_maskload_ps(brow.wrapping_add(8), m1);
+                for r in 0..R {
+                    let ar = _mm256_broadcast_ss(&*a.add(r * k + kk));
+                    lo[r] = _mm256_fmadd_ps(ar, b0, lo[r]);
+                    hi[r] = _mm256_fmadd_ps(ar, b1, hi[r]);
+                }
+            }
+            for r in 0..R {
+                let dst = c.add(r * n);
+                let dst_hi = dst.wrapping_add(8);
+                let sum0 = _mm256_add_ps(_mm256_maskload_ps(dst, m0), lo[r]);
+                let sum1 = _mm256_add_ps(_mm256_maskload_ps(dst_hi, m1), hi[r]);
+                _mm256_maskstore_ps(dst, m0, sum0);
+                _mm256_maskstore_ps(dst_hi, m1, sum1);
+            }
         }
     }
 }

@@ -11,7 +11,8 @@
 //!   decomposition.
 //! * [`matmul`] — packed, multi-threaded GEMM / GEMV / batched GEMM; every
 //!   variant routes through one BLIS-style blocked engine ([`pack`]) with an
-//!   explicit runtime-dispatched SIMD micro-kernel ([`kernel`]).
+//!   explicit runtime-dispatched SIMD micro-kernel ([`kernel`]), and
+//!   single-block products skip the packing.
 //! * [`qr`] — Householder QR (thin form), used by the randomized SVD.
 //! * [`svd`] — truncated singular value decomposition (one-sided Jacobi for
 //!   small problems, randomized subspace iteration for large ones).

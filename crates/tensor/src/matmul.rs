@@ -9,6 +9,18 @@
 //! only in how their panels are packed, so blocking, threading, and SIMD
 //! come for free instead of through divergent hand-written loops.
 //!
+//! One exception skips the packing: a product (or a threaded row band of
+//! one) that fits a single block — `m ≤ MC`, `k ≤ KC`, `n ≤ NC`, and
+//! `m·n ≤ 32·NC` (see [`in_place`]) — with `f32` panels and neither
+//! operand transposed. Packing such a product would copy each element
+//! once and read it once, so [`kernel::gemm_unpacked`] reads A and B where
+//! they lie instead, in the same tiles and the same per-element
+//! accumulation order; the bits are unchanged. Every decode projection,
+//! dense and factored, takes this route. The route depends on the shape
+//! alone, so it is the same on both backends. The transposed entry
+//! points, 16-bit panels, [`FactoredPlan`] and multi-block products still
+//! pack.
+//!
 //! Large problems are threaded with `std::thread::scope` over row bands of
 //! C. Results are deterministic: each C element's accumulation order over k
 //! is fixed by the KC blocking and is independent of the band split, so any
@@ -26,13 +38,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Cache blocking: rows of A packed per block (multiple of `MR`).
-const MC: usize = 120;
+pub const MC: usize = 120;
 
 /// Cache blocking: shared-dimension depth per packed panel.
-const KC: usize = 256;
+pub const KC: usize = 256;
 
 /// Cache blocking: columns of B packed per block (multiple of `NR`).
-const NC: usize = 1024;
+pub const NC: usize = 1024;
 
 /// Process-wide GEMM thread budget; 0 means "no limit" (use available
 /// parallelism). Sweep-level executors set this so outer (per-study-point)
@@ -135,10 +147,25 @@ fn run_tile(
     }
 }
 
+/// Whether an `m × k · k × n` product skips packing. It must be a single
+/// block of the packed loop nest (`m ≤ MC`, `k ≤ KC`, `n ≤ NC`), where
+/// packing would copy each operand element once and read it back once.
+/// It must also have `m·n ≤ 32·NC`: reading B in place re-reads each
+/// `NR`-column strip at row stride `n` once per `MR`-row tile, and at
+/// `n = NC` (4 KB rows) that lost to packing from `m ≈ 90` rows up, while
+/// every measured shape inside the bound won or tied (DESIGN.md §7).
+fn in_place(m: usize, k: usize, n: usize) -> bool {
+    m <= MC && k <= KC && n <= NC && m * n <= 32 * NC
+}
+
 /// Serial packed GEMM over one row band: `C[i0..i0+m][..] += A · B`, where
 /// `c_band` holds rows `i0..i0+m` of C (row stride `b.cols()`). B panels
 /// are stored at `dtype` (A panels always stay `f32`). Degenerate
 /// dimensions (`m`, `n`, or `k` of zero) are no-ops.
+///
+/// A band that is [`in_place`] with `f32` panels and untransposed
+/// operands skips packing: [`kernel::gemm_unpacked`] reads A and B in
+/// place with the same per-element accumulation order, so the bits match.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     backend: Backend,
@@ -153,6 +180,12 @@ fn gemm_block(
     let (n, k) = (b.cols(), a.cols());
     if m == 0 || n == 0 || k == 0 {
         return;
+    }
+    if let (KernelDtype::F32, Some(a_data), Some(b_data)) = (dtype, a.row_major(), b.row_major()) {
+        if in_place(m, k, n) {
+            kernel::gemm_unpacked(backend, m, k, n, &a_data[i0 * k..], b_data, c_band);
+            return;
+        }
     }
     let kc_bound = KC.min(k);
     let b_len = packed_b_len(kc_bound, NC.min(n));
@@ -662,26 +695,102 @@ fn gemm_prepacked(
     bytes_packed
 }
 
+/// The three factors of `((x·U1)·Γ)·U2` as the band loop reads them.
+#[derive(Clone, Copy)]
+enum Factors<'a> {
+    /// Panels packed once, in [`gemm_block`]'s block order.
+    Packed(&'a [PrepackedB; 3]),
+    /// Row-major `f32` factors read in place. Only used when every stage is
+    /// [`in_place`], so [`gemm_block`] takes its unpacked route.
+    InPlace([MatRef<'a>; 3]),
+}
+
+impl Factors<'_> {
+    /// Output widths `[r1, r2, n]` of the three stages.
+    fn widths(&self) -> [usize; 3] {
+        match self {
+            Factors::Packed(p) => [p[0].n, p[1].n, p[2].n],
+            Factors::InPlace(f) => [f[0].cols(), f[1].cols(), f[2].cols()],
+        }
+    }
+
+    /// Stage `s` over one row chunk: `c += a[i0..i0+m] · factor s`.
+    /// Returns the bytes written into A panels.
+    #[allow(clippy::too_many_arguments)]
+    fn stage(
+        &self,
+        s: usize,
+        backend: Backend,
+        a: &MatRef,
+        i0: usize,
+        m: usize,
+        c: &mut [f32],
+        apack: &mut Vec<f32>,
+    ) -> u64 {
+        match self {
+            Factors::Packed(p) => gemm_prepacked(backend, a, i0, m, &p[s], c, apack),
+            Factors::InPlace(f) => {
+                let mut no_scratch = GemmScratch::default();
+                gemm_block(
+                    backend,
+                    KernelDtype::F32,
+                    a,
+                    &f[s],
+                    i0,
+                    m,
+                    c,
+                    &mut no_scratch,
+                );
+                0
+            }
+        }
+    }
+}
+
+/// Packs `U1`, `Γ`, `U2` at `dtype` storage precision.
+fn prepack_factors(dtype: KernelDtype, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [PrepackedB; 3] {
+    [u1, core, u2].map(|f| prepack_b(&MatRef::new(f.data(), f.rows(), f.cols()), dtype))
+}
+
+/// Runs `f` on the factors of an `m`-row product: in place when every
+/// stage is [`in_place`] at `f32`, otherwise packed at `dtype` for this
+/// call.
+fn with_factors(
+    dtype: KernelDtype,
+    m: usize,
+    [u1, core, u2]: [&Tensor; 3],
+    f: impl FnOnce(Factors<'_>),
+) {
+    let unpacked = dtype == KernelDtype::F32
+        && [u1, core, u2]
+            .iter()
+            .all(|w| in_place(m, w.rows(), w.cols()));
+    if unpacked {
+        f(Factors::InPlace(
+            [u1, core, u2].map(|w| MatRef::new(w.data(), w.rows(), w.cols())),
+        ));
+    } else {
+        f(Factors::Packed(&prepack_factors(dtype, u1, core, u2)));
+    }
+}
+
 /// One worker's share of the fused factored product: processes `rows` rows
 /// of `x` starting at `row0` in `MC`-row chunks, streaming each chunk
-/// through the three stages (`h1 = x·U1`, `h2 = h1·Γ`, `y += h2·U2`)
-/// against the shared prepacked factor panels. Without caches, `h1`/`h2`
-/// live in two chunk-sized scratch buffers (≲ `MC·r` floats each) that
-/// stay cache-resident instead of materializing `m×r` heap tensors; with
-/// caches, stages write straight into the caller's full `h1`/`h2` rows.
-#[allow(clippy::too_many_arguments)]
+/// through the three stages (`h1 = x·U1`, `h2 = h1·Γ`, `y += h2·U2`).
+/// Without caches, `h1`/`h2` live in two chunk-sized scratch buffers
+/// (≲ `MC·r` floats each) that stay cache-resident instead of
+/// materializing `m×r` heap tensors; with caches, stages write straight
+/// into the caller's full `h1`/`h2` rows.
 fn factored_band(
     backend: Backend,
     x: &MatRef,
     row0: usize,
     rows: usize,
-    pu1: &PrepackedB,
-    pcore: &PrepackedB,
-    pu2: &PrepackedB,
+    factors: Factors,
     y_band: &mut [f32],
-    caches: Option<(&mut [f32], &mut [f32])>,
+    mut caches: Option<(&mut [f32], &mut [f32])>,
 ) {
-    let (r1, r2, n) = (pu1.n, pcore.n, pu2.n);
+    let [r1, r2, n] = factors.widths();
     // Packing and intermediate buffers persist across calls on each worker
     // thread: a decode loop replaying one plan per token would otherwise
     // pay a ~`MC·KC` allocation + zero-fill on every call.
@@ -692,60 +801,83 @@ fn factored_band(
     SCRATCH.with(|cell| {
         let mut guard = cell.borrow_mut();
         let (apack, h1s, h2s) = &mut *guard;
-        factored_band_with(
-            backend, x, row0, rows, pu1, pcore, pu2, y_band, caches, r1, r2, n, apack, h1s, h2s,
-        );
+        let mut bytes_packed = 0u64;
+        for c0 in (0..rows).step_by(MC) {
+            let cm = MC.min(rows - c0);
+            let (h1, h2): (&mut [f32], &mut [f32]) = match caches.as_mut() {
+                Some((h1f, h2f)) => (
+                    &mut h1f[c0 * r1..(c0 + cm) * r1],
+                    &mut h2f[c0 * r2..(c0 + cm) * r2],
+                ),
+                None => {
+                    h1s.clear();
+                    h1s.resize(cm * r1, 0.0);
+                    h2s.clear();
+                    h2s.resize(cm * r2, 0.0);
+                    (h1s.as_mut_slice(), h2s.as_mut_slice())
+                }
+            };
+            bytes_packed += factors.stage(0, backend, x, row0 + c0, cm, h1, apack);
+            let h1 = MatRef::new(&*h1, cm, r1);
+            bytes_packed += factors.stage(1, backend, &h1, 0, cm, h2, apack);
+            let h2 = MatRef::new(&*h2, cm, r2);
+            let y_chunk = &mut y_band[c0 * n..(c0 + cm) * n];
+            bytes_packed += factors.stage(2, backend, &h2, 0, cm, y_chunk, apack);
+        }
+        counters::add(Counter::GemmBytesPacked, bytes_packed);
     });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn factored_band_with(
+/// Threaded driver of the fused factored product: records the call, then
+/// runs [`factored_band`] over row bands of `x` (inline when one thread
+/// suffices). With `caches`, each band also gets its rows of the caller's
+/// full `h1`/`h2`.
+fn factored_driver(
     backend: Backend,
+    dtype: KernelDtype,
     x: &MatRef,
-    row0: usize,
-    rows: usize,
-    pu1: &PrepackedB,
-    pcore: &PrepackedB,
-    pu2: &PrepackedB,
-    y_band: &mut [f32],
+    factors: Factors,
+    y: &mut [f32],
     mut caches: Option<(&mut [f32], &mut [f32])>,
-    r1: usize,
-    r2: usize,
-    n: usize,
-    apack: &mut Vec<f32>,
-    h1s: &mut Vec<f32>,
-    h2s: &mut Vec<f32>,
 ) {
-    let mut bytes_packed = 0u64;
-    for c0 in (0..rows).step_by(MC) {
-        let cm = MC.min(rows - c0);
-        let (h1, h2): (&mut [f32], &mut [f32]) = match caches.as_mut() {
-            Some((h1f, h2f)) => (
-                &mut h1f[c0 * r1..(c0 + cm) * r1],
-                &mut h2f[c0 * r2..(c0 + cm) * r2],
-            ),
-            None => {
-                h1s.clear();
-                h1s.resize(cm * r1, 0.0);
-                h2s.clear();
-                h2s.resize(cm * r2, 0.0);
-                (h1s.as_mut_slice(), h2s.as_mut_slice())
-            }
-        };
-        bytes_packed += gemm_prepacked(backend, x, row0 + c0, cm, pu1, h1, apack);
-        bytes_packed +=
-            gemm_prepacked(backend, &MatRef::new(&*h1, cm, r1), 0, cm, pcore, h2, apack);
-        bytes_packed += gemm_prepacked(
-            backend,
-            &MatRef::new(&*h2, cm, r2),
-            0,
-            cm,
-            pu2,
-            &mut y_band[c0 * n..(c0 + cm) * n],
-            apack,
-        );
+    let (m, k) = (x.rows(), x.cols());
+    let [r1, r2, n] = factors.widths();
+    let macs = m * (k * r1 + r1 * r2 + r2 * n);
+    record_gemm_typed(
+        GemmVariant::FactoredFused,
+        backend.name(),
+        dtype.name(),
+        2 * macs as u64,
+    );
+    let threads = thread_count(macs, m);
+    if threads <= 1 {
+        factored_band(backend, x, 0, m, factors, y, caches);
+        return;
     }
-    counters::add(Counter::GemmBytesPacked, bytes_packed);
+    let band = m.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut y_rest = y;
+        let mut row0 = 0usize;
+        while row0 < m {
+            let rows = band.min(m - row0);
+            let (y_mine, y_tail) = y_rest.split_at_mut(rows * n);
+            y_rest = y_tail;
+            let band_caches = match caches.take() {
+                Some((h1, h2)) => {
+                    let (h1_mine, h1_tail) = h1.split_at_mut(rows * r1);
+                    let (h2_mine, h2_tail) = h2.split_at_mut(rows * r2);
+                    caches = Some((h1_tail, h2_tail));
+                    Some((h1_mine, h2_mine))
+                }
+                None => None,
+            };
+            let x = *x;
+            scope.spawn(move || {
+                factored_band(backend, &x, row0, rows, factors, y_mine, band_caches);
+            });
+            row0 += rows;
+        }
+    });
 }
 
 /// Validates the factored-product shapes and returns
@@ -767,22 +899,17 @@ fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize;
 /// This is the "pack tiny core/U panels once" half of the fused pipeline:
 /// building the plan pays the packing cost of `U1`/`Γ`/`U2` a single time,
 /// and every subsequent [`FactoredPlan::matmul`] streams activations
-/// through the prepacked panels. Deployment-style inference — static
-/// factors, many forward calls — should build one plan and reuse it;
-/// [`factored_matmul`] builds a throwaway plan per call for convenience.
+/// through the prepacked panels. [`factored_matmul`] instead reads the
+/// factors in place when every stage can skip packing, and otherwise packs
+/// them for the one call.
 ///
 /// A plan borrows nothing: the factor panels are copied into the packed
 /// layout, so the source tensors may be dropped or mutated afterwards
 /// (the plan keeps computing with the values it was built from).
 pub struct FactoredPlan {
     k: usize,
-    r1: usize,
-    r2: usize,
-    n: usize,
     dtype: KernelDtype,
-    pu1: PrepackedB,
-    pcore: PrepackedB,
-    pu2: PrepackedB,
+    panels: [PrepackedB; 3],
 }
 
 impl FactoredPlan {
@@ -802,20 +929,20 @@ impl FactoredPlan {
     ///
     /// Panics if the chain dimensions disagree.
     pub fn with_dtype(dtype: KernelDtype, u1: &Tensor, core: &Tensor, u2: &Tensor) -> Self {
-        let (k, r1) = (u1.rows(), u1.cols());
-        let (r1b, r2) = (core.rows(), core.cols());
-        let (r2b, n) = (u2.rows(), u2.cols());
-        assert_eq!(r1, r1b, "FactoredPlan: U1·core inner dimension mismatch");
-        assert_eq!(r2, r2b, "FactoredPlan: core·U2 inner dimension mismatch");
+        assert_eq!(
+            u1.cols(),
+            core.rows(),
+            "FactoredPlan: U1·core inner dimension mismatch"
+        );
+        assert_eq!(
+            core.cols(),
+            u2.rows(),
+            "FactoredPlan: core·U2 inner dimension mismatch"
+        );
         FactoredPlan {
-            k,
-            r1,
-            r2,
-            n,
+            k: u1.rows(),
             dtype,
-            pu1: prepack_b(&MatRef::new(u1.data(), k, r1), dtype),
-            pcore: prepack_b(&MatRef::new(core.data(), r1, r2), dtype),
-            pu2: prepack_b(&MatRef::new(u2.data(), r2, n), dtype),
+            panels: prepack_factors(dtype, u1, core, u2),
         }
     }
 
@@ -831,7 +958,7 @@ impl FactoredPlan {
 
     /// Output width (`U2` columns).
     pub fn fan_out(&self) -> usize {
-        self.n
+        self.panels[2].n
     }
 
     /// `y = ((x·U1)·Γ)·U2` against the prepacked panels on the active
@@ -851,47 +978,16 @@ impl FactoredPlan {
     /// Panics if `x.cols() != fan_in`.
     pub fn matmul_on(&self, backend: Backend, x: &Tensor) -> Tensor {
         let (m, k) = (x.rows(), x.cols());
-        let (r1, r2, n) = (self.r1, self.r2, self.n);
         assert_eq!(k, self.k, "FactoredPlan: x·U1 inner dimension mismatch");
-        record_gemm_typed(
-            GemmVariant::FactoredFused,
-            backend.name(),
-            self.dtype.name(),
-            2 * (m * (k * r1 + r1 * r2 + r2 * n)) as u64,
+        let mut y = Tensor::zeros(&[m, self.fan_out()]);
+        factored_driver(
+            backend,
+            self.dtype,
+            &MatRef::new(x.data(), m, k),
+            Factors::Packed(&self.panels),
+            y.data_mut(),
+            None,
         );
-        let xref = MatRef::new(x.data(), m, k);
-        let mut y = Tensor::zeros(&[m, n]);
-        let threads = thread_count(m * (k * r1 + r1 * r2 + r2 * n), m);
-        let y_data = y.data_mut();
-        if threads <= 1 {
-            factored_band(
-                backend,
-                &xref,
-                0,
-                m,
-                &self.pu1,
-                &self.pcore,
-                &self.pu2,
-                y_data,
-                None,
-            );
-            return y;
-        }
-        let band = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = y_data;
-            let mut row0 = 0usize;
-            while row0 < m {
-                let rows = band.min(m - row0);
-                let (mine, tail) = rest.split_at_mut(rows * n);
-                rest = tail;
-                let (pu1, pcore, pu2) = (&self.pu1, &self.pcore, &self.pu2);
-                scope.spawn(move || {
-                    factored_band(backend, &xref, row0, rows, pu1, pcore, pu2, mine, None);
-                });
-                row0 += rows;
-            }
-        });
         y
     }
 }
@@ -899,12 +995,15 @@ impl FactoredPlan {
 /// Fused factored-linear product `y = ((x·U1)·Γ)·U2` on the active backend
 /// and active panel dtype ([`KernelDtype::active`]).
 ///
-/// One pass packs the three factor matrices (at the active storage dtype),
-/// then every worker streams its row chunks through all three GEMM stages
-/// with the rank-`r` intermediates held in cache-blocked scratch — no heap
-/// `Tensor` intermediates, no re-packing of factors per stage or chunk.
-/// Callers with static factors and many products should build a
-/// [`FactoredPlan`] once instead of paying the factor packing per call.
+/// Every worker streams its row chunks through all three GEMM stages with
+/// the rank-`r` intermediates held in cache-blocked scratch — no heap
+/// `Tensor` intermediates. When every stage is small enough to skip
+/// packing (see the module docs) and panels are `f32` — every decode
+/// projection — the stages read the factors in place and nothing is
+/// packed. Otherwise one pass packs the three factors at the active
+/// storage dtype and every chunk reuses those panels; callers with static
+/// factors and many such products should build a [`FactoredPlan`] once
+/// instead.
 ///
 /// With `f32` panels the result is bit-identical to the unfused
 /// composition `matmul(&matmul(&matmul(x, u1), core), u2)` at any thread
@@ -930,7 +1029,13 @@ pub fn factored_matmul_with(
     core: &Tensor,
     u2: &Tensor,
 ) -> Tensor {
-    FactoredPlan::with_dtype(dtype, u1, core, u2).matmul_on(backend, x)
+    let [m, k, _, _, n] = factored_dims(x, u1, core, u2);
+    let mut y = Tensor::zeros(&[m, n]);
+    with_factors(dtype, m, [u1, core, u2], |factors| {
+        let x = MatRef::new(x.data(), m, k);
+        factored_driver(backend, dtype, &x, factors, y.data_mut(), None);
+    });
+    y
 }
 
 /// [`factored_matmul`] that also returns the stage intermediates
@@ -947,64 +1052,13 @@ pub fn factored_matmul_caches(
     let backend = Backend::active();
     let dtype = KernelDtype::active();
     let [m, k, r1, r2, n] = factored_dims(x, u1, core, u2);
-    record_gemm_typed(
-        GemmVariant::FactoredFused,
-        backend.name(),
-        dtype.name(),
-        2 * (m * (k * r1 + r1 * r2 + r2 * n)) as u64,
-    );
-    let pu1 = prepack_b(&MatRef::new(u1.data(), k, r1), dtype);
-    let pcore = prepack_b(&MatRef::new(core.data(), r1, r2), dtype);
-    let pu2 = prepack_b(&MatRef::new(u2.data(), r2, n), dtype);
-    let xref = MatRef::new(x.data(), m, k);
     let mut y = Tensor::zeros(&[m, n]);
     let mut h1 = Tensor::zeros(&[m, r1]);
     let mut h2 = Tensor::zeros(&[m, r2]);
-    let threads = thread_count(m * (k * r1 + r1 * r2 + r2 * n), m);
-    if threads <= 1 {
-        factored_band(
-            backend,
-            &xref,
-            0,
-            m,
-            &pu1,
-            &pcore,
-            &pu2,
-            y.data_mut(),
-            Some((h1.data_mut(), h2.data_mut())),
-        );
-        return (y, h1, h2);
-    }
-    let band = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut y_rest = y.data_mut();
-        let mut h1_rest = h1.data_mut();
-        let mut h2_rest = h2.data_mut();
-        let mut row0 = 0usize;
-        while row0 < m {
-            let rows = band.min(m - row0);
-            let (y_mine, y_tail) = y_rest.split_at_mut(rows * n);
-            y_rest = y_tail;
-            let (h1_mine, h1_tail) = h1_rest.split_at_mut(rows * r1);
-            h1_rest = h1_tail;
-            let (h2_mine, h2_tail) = h2_rest.split_at_mut(rows * r2);
-            h2_rest = h2_tail;
-            let (pu1, pcore, pu2) = (&pu1, &pcore, &pu2);
-            scope.spawn(move || {
-                factored_band(
-                    backend,
-                    &xref,
-                    row0,
-                    rows,
-                    pu1,
-                    pcore,
-                    pu2,
-                    y_mine,
-                    Some((h1_mine, h2_mine)),
-                );
-            });
-            row0 += rows;
-        }
+    with_factors(dtype, m, [u1, core, u2], |factors| {
+        let x = MatRef::new(x.data(), m, k);
+        let caches = Some((h1.data_mut(), h2.data_mut()));
+        factored_driver(backend, dtype, &x, factors, y.data_mut(), caches);
     });
     (y, h1, h2)
 }
@@ -1420,8 +1474,12 @@ mod tests {
 
     #[test]
     fn gemm_bytes_packed_counter_advances() {
+        // One row past MC, so the product is two blocks and must pack.
+        // (One-block products pack nothing; `tests/packed_bytes.rs` checks
+        // that in a process of its own, where no other GEMM moves the
+        // global counter.)
         let mut rng = Rng64::new(39);
-        let a = Tensor::randn(&[32, 40], &mut rng);
+        let a = Tensor::randn(&[MC + 1, 40], &mut rng);
         let b = Tensor::randn(&[40, 24], &mut rng);
         let before = lrd_trace::counters::get(Counter::GemmBytesPacked);
         let _ = matmul(&a, &b);

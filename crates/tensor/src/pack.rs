@@ -64,6 +64,11 @@ impl<'a> MatRef<'a> {
         self.cols
     }
 
+    /// The backing row-major data, unless the operand is transposed.
+    pub fn row_major(&self) -> Option<&'a [f32]> {
+        (!self.trans).then_some(self.data)
+    }
+
     /// Element at logical position `(i, j)`.
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f32 {

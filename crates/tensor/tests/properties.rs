@@ -4,7 +4,8 @@ use lrd_tensor::dtype::KernelDtype;
 use lrd_tensor::kernel::{Backend, NR};
 use lrd_tensor::matmul::{
     factored_matmul_with, matmul, matmul_on, matmul_transa, matmul_transa_on, matmul_transb,
-    matmul_transb_on, matmul_with, matvec, mode_n_product, set_thread_limit, FactoredPlan,
+    matmul_transb_on, matmul_with, matvec, mode_n_product, set_thread_limit, FactoredPlan, KC, MC,
+    NC,
 };
 use lrd_tensor::qr::{orthonormality_error, qr_thin};
 use lrd_tensor::rng::Rng64;
@@ -30,58 +31,141 @@ fn tensor3(max_dim: usize) -> impl Strategy<Value = Tensor> {
 }
 
 /// Strategy: adversarial GEMM shapes `(m, k, n, seed)` — single-row inputs,
-/// `k < 4`, and `n` straddling the micro-kernel width — alongside general
-/// small shapes.
+/// `k < 4`, `n` at every residue of the micro-kernel width, and each
+/// packed-engine bound (`MC`, `KC`, `NC`, and `m·n ≤ 32·NC`) hit exactly
+/// and crossed, so both sides of the in-place route are drawn — alongside
+/// general small shapes.
 fn adversarial_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (any::<u64>(), any::<u64>()).prop_map(|(pick, seed)| {
         let r = |lo: usize, hi: usize, x: u64| lo + (x as usize) % (hi - lo + 1);
-        match pick % 3 {
-            0 => (1, r(1, 3, pick >> 2), r(1, 2 * NR + 1, pick >> 8), seed),
+        let edge = |bound: usize, x: u64| bound + (x as usize) % 2;
+        match pick % 7 {
+            0 => (1, r(1, 3, pick >> 3), r(1, 2 * NR + 1, pick >> 8), seed),
             1 => (
-                r(1, 8, pick >> 2),
+                r(1, 8, pick >> 3),
                 r(1, 3, pick >> 8),
                 r(NR - 1, NR + 1, pick >> 16),
                 seed,
             ),
-            _ => (
-                r(1, 20, pick >> 2),
+            2 => (
+                r(1, 20, pick >> 3),
                 r(1, 24, pick >> 8),
                 r(1, 40, pick >> 16),
+                seed,
+            ),
+            3 => (
+                r(1, 13, pick >> 3),
+                r(1, 40, pick >> 8),
+                r(1, 4 * NR, pick >> 16),
+                seed,
+            ),
+            4 => (
+                edge(MC, pick >> 3),
+                r(1, 12, pick >> 8),
+                r(1, 2 * NR, pick >> 16),
+                seed,
+            ),
+            5 => (
+                r(1, 8, pick >> 3),
+                edge(KC, pick >> 8),
+                r(1, 2 * NR, pick >> 16),
+                seed,
+            ),
+            _ => (
+                r(1, 40, pick >> 3),
+                r(1, 8, pick >> 8),
+                edge(NC, pick >> 16),
                 seed,
             ),
         }
     })
 }
 
+/// `γ_k = k·u / (1 − k·u)` with `u = 2⁻²⁴`: the worst-case relative error
+/// of a `k`-term f32 dot product accumulated in order, with or without
+/// FMA (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1).
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * f64::from(f32::EPSILON) / 2.0;
+    ku / (1.0 - ku)
+}
+
+/// Checks `c ≈ a · b` against an unblocked f64 reference, element by
+/// element, within `γ_k · Σ|a||b|` — a bound from `k` alone, not a
+/// tuned tolerance.
+fn assert_within_gamma_bound(a: &Tensor, b: &Tensor, c: &Tensor) -> Result<(), TestCaseError> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    for i in 0..m {
+        for j in 0..n {
+            let (mut exact, mut magnitude) = (0.0f64, 0.0f64);
+            for kk in 0..k {
+                let p = f64::from(a.get(&[i, kk])) * f64::from(b.get(&[kk, j]));
+                exact += p;
+                magnitude += p.abs();
+            }
+            let err = (f64::from(c.get(&[i, j])) - exact).abs();
+            prop_assert!(
+                err <= gamma(k) * magnitude,
+                "({m},{k},{n}) at ({i},{j}): error {err} over bound {}",
+                gamma(k) * magnitude
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Strategy: factored-product shapes `([m, k, r1, r2, n], seed)` hitting
 /// the fused pipeline's edges — rank-1 cores, single-row activations, `n`
-/// straddling the micro-kernel width, and `m` crossing the 120-row packing
-/// chunk so multi-chunk streaming is exercised.
+/// straddling the micro-kernel width, ranks above `NR` — on both sides of
+/// the in-place route: `m` crossing the `MC`-row packing chunk, `k` past
+/// `KC` with `m ≤ MC`, and an in-place product large enough to be split
+/// across threads.
 fn factored_shape() -> impl Strategy<Value = ([usize; 5], u64)> {
     (any::<u64>(), any::<u64>()).prop_map(|(pick, seed)| {
         let r = |lo: usize, hi: usize, x: u64| lo + (x as usize) % (hi - lo + 1);
-        let shape = match pick % 4 {
-            0 => [1, r(1, 24, pick >> 2), 1, 1, r(NR - 1, NR + 1, pick >> 8)],
+        let shape = match pick % 7 {
+            0 => [1, r(1, 24, pick >> 3), 1, 1, r(NR - 1, NR + 1, pick >> 8)],
             1 => [
-                r(1, 8, pick >> 2),
+                r(1, 8, pick >> 3),
                 r(1, 3, pick >> 8),
                 r(1, 4, pick >> 16),
                 r(1, 4, pick >> 24),
                 r(1, 2 * NR + 1, pick >> 32),
             ],
             2 => [
-                121 + (pick as usize >> 2) % 8,
+                MC + 1 + (pick as usize >> 3) % 8,
                 r(1, 8, pick >> 8),
                 r(1, 6, pick >> 16),
                 r(1, 6, pick >> 24),
                 r(1, 8, pick >> 32),
             ],
-            _ => [
-                r(1, 20, pick >> 2),
+            3 => [
+                r(1, 20, pick >> 3),
                 r(1, 24, pick >> 8),
                 r(1, 10, pick >> 16),
                 r(1, 10, pick >> 24),
                 r(1, 40, pick >> 32),
+            ],
+            4 => [
+                r(1, 32, pick >> 3),
+                r(1, 48, pick >> 8),
+                r(NR + 1, 3 * NR, pick >> 16),
+                r(NR + 1, 3 * NR, pick >> 24),
+                r(1, 48, pick >> 32),
+            ],
+            5 => [
+                r(1, MC, pick >> 3),
+                r(KC + 1, KC + 8, pick >> 16),
+                r(1, 6, pick >> 24),
+                r(1, 6, pick >> 32),
+                r(1, 2 * NR, pick >> 40),
+            ],
+            // ≥ 2^20 multiply-adds, so more than one thread may take a band.
+            _ => [
+                r(MC - 8, MC, pick >> 3),
+                KC,
+                r(NR + 4, 2 * NR, pick >> 16),
+                r(NR + 4, 2 * NR, pick >> 24),
+                r(240, 256, pick >> 32),
             ],
         };
         (shape, seed)
@@ -130,13 +214,19 @@ proptest! {
     }
 
     #[test]
-    fn trans_variants_agree(seed in any::<u64>()) {
+    fn trans_variants_agree(case in adversarial_shape()) {
+        // The transposed variants always pack; `matmul` reads small
+        // products in place. Both accumulate each element in the same
+        // order, so they must agree to the bit, and both must sit inside
+        // the f64 reference's γ_k bound.
+        let (m, k, n, seed) = case;
         let mut rng = Rng64::new(seed);
-        let a = Tensor::randn(&[5, 7], &mut rng);
-        let b = Tensor::randn(&[4, 7], &mut rng);
-        prop_assert!(matmul_transb(&a, &b).approx_eq(&matmul(&a, &b.transpose()), 1e-4));
-        let c = Tensor::randn(&[5, 6], &mut rng);
-        prop_assert!(matmul_transa(&a, &c).approx_eq(&matmul(&a.transpose(), &c), 1e-4));
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let direct = matmul(&a, &b);
+        prop_assert_eq!(&direct, &matmul_transb(&a, &b.transpose()), "({},{},{})", m, k, n);
+        prop_assert_eq!(&direct, &matmul_transa(&a.transpose(), &b), "({},{},{})", m, k, n);
+        assert_within_gamma_bound(&a, &b, &direct)?;
     }
 
     #[test]
@@ -340,18 +430,15 @@ proptest! {
     }
 
     #[test]
-    fn fused_is_bit_identical_across_thread_counts(seed in any::<u64>()) {
+    fn fused_is_bit_identical_across_thread_counts(case in factored_shape()) {
         // Band splits must not change any element's accumulation order —
         // the same invariant `repeated_runs_are_bit_identical` pins for the
         // classic entry points, here for the fused pipeline at the active
         // storage dtype (so the bf16/f16 CI variants exercise it too).
+        let (shape, seed) = case;
         let backend = Backend::active();
         let dtype = KernelDtype::active();
-        let mut rng = Rng64::new(seed);
-        let x = Tensor::randn(&[130, 48], &mut rng);
-        let u1 = Tensor::randn(&[48, 6], &mut rng);
-        let core = Tensor::randn(&[6, 6], &mut rng);
-        let u2 = Tensor::randn(&[6, 40], &mut rng);
+        let (x, u1, core, u2) = factored_operands(shape, seed);
         let prev = set_thread_limit(1);
         let serial = factored_matmul_with(backend, dtype, &x, &u1, &core, &u2);
         set_thread_limit(3);
@@ -359,8 +446,8 @@ proptest! {
         let plan = FactoredPlan::with_dtype(dtype, &u1, &core, &u2);
         let planned = plan.matmul_on(backend, &x);
         set_thread_limit(prev);
-        prop_assert_eq!(&serial, &banded);
-        prop_assert_eq!(&serial, &planned);
+        prop_assert_eq!(&serial, &banded, "shape {:?}", shape);
+        prop_assert_eq!(&serial, &planned, "plan, shape {:?}", shape);
     }
 
     #[test]
