@@ -45,7 +45,7 @@
 //!   virtual time, exercising deadline-based timeout settlement.
 //!
 //! Unknown fault kinds in a spec are *tolerated*: they warn through
-//! [`lrd_trace::warn`] and count into `fault_spec_unknown_kinds`, so one
+//! [`lrd_trace::warn()`] and count into `fault_spec_unknown_kinds`, so one
 //! chaos spec can name kinds only one execution plane implements without
 //! aborting the other — while a typo is still loudly visible in both the
 //! stderr stream and the metrics document. Malformed entries (not
@@ -130,7 +130,7 @@ impl FaultPlan {
     /// is tolerated; an empty spec is the no-fault plan.
     ///
     /// An entry whose kind is well-formed but unknown is *not* an error:
-    /// it warns through [`lrd_trace::warn`] and counts into
+    /// it warns through [`lrd_trace::warn()`] and counts into
     /// `fault_spec_unknown_kinds`, so a spec written for one execution
     /// plane (or a newer version) degrades loudly instead of aborting —
     /// or, worse, being silently dropped.

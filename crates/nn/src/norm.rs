@@ -35,12 +35,28 @@ impl LayerNorm {
         self.gamma.len() + self.beta.len()
     }
 
-    /// Row-wise normalization of `x (m × d)`.
+    /// Row-wise normalization of `x (m × d)`, keeping the normalized rows
+    /// and inverse deviations for [`LayerNorm::backward`].
     pub fn forward(&self, x: &Tensor) -> (Tensor, LayerNormCache) {
+        let mut xhat = Tensor::zeros(&[x.rows(), x.cols()]);
+        let mut inv_std = Vec::with_capacity(x.rows());
+        let out = self.apply(x, |i, h, istd| {
+            xhat.row_mut(i).copy_from_slice(h);
+            inv_std.push(istd);
+        });
+        (out, LayerNormCache { xhat, inv_std })
+    }
+
+    /// Inference-only forward, with no cache.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.apply(x, |_, _, _| {})
+    }
+
+    /// `γ ⊙ x̂ + β` per row, with `x̂ = (x − mean) · istd`; `keep` sees
+    /// each row's index, `x̂` and `istd` before the affine step.
+    fn apply(&self, x: &Tensor, mut keep: impl FnMut(usize, &[f32], f32)) -> Tensor {
         let (m, d) = (x.rows(), x.cols());
         let mut out = Tensor::zeros(&[m, d]);
-        let mut xhat = Tensor::zeros(&[m, d]);
-        let mut inv_std = Vec::with_capacity(m);
         let g = self.gamma.value.data();
         let b = self.beta.value.data();
         for i in 0..m {
@@ -48,22 +64,16 @@ impl LayerNorm {
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
             let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            let hrow = xhat.row_mut(i);
-            for (j, &v) in row.iter().enumerate() {
-                hrow[j] = (v - mean) * istd;
-            }
             let orow = out.row_mut(i);
-            for j in 0..d {
-                orow[j] = xhat.get(&[i, j]) * g[j] + b[j];
+            for (o, &v) in orow.iter_mut().zip(row) {
+                *o = (v - mean) * istd;
+            }
+            keep(i, orow, istd);
+            for ((o, &gj), &bj) in orow.iter_mut().zip(g).zip(b) {
+                *o = *o * gj + bj;
             }
         }
-        (out, LayerNormCache { xhat, inv_std })
-    }
-
-    /// Inference-only forward.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.forward(x).0
+        out
     }
 
     /// Backward pass; returns `dx`.
@@ -130,22 +140,11 @@ impl RmsNorm {
         self.gamma.len()
     }
 
-    /// Row-wise normalization `y = γ ⊙ x / rms(x)`.
+    /// Row-wise normalization `y = γ ⊙ x / rms(x)`, keeping `x` and the
+    /// inverse RMS values for [`RmsNorm::backward`].
     pub fn forward(&self, x: &Tensor) -> (Tensor, RmsNormCache) {
-        let (m, d) = (x.rows(), x.cols());
-        let mut out = Tensor::zeros(&[m, d]);
-        let mut inv_rms = Vec::with_capacity(m);
-        let g = self.gamma.value.data();
-        for i in 0..m {
-            let row = x.row(i);
-            let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
-            let irms = 1.0 / (ms + EPS).sqrt();
-            inv_rms.push(irms);
-            let orow = out.row_mut(i);
-            for j in 0..d {
-                orow[j] = row[j] * irms * g[j];
-            }
-        }
+        let mut inv_rms = Vec::with_capacity(x.rows());
+        let out = self.apply(x, |irms| inv_rms.push(irms));
         (
             out,
             RmsNormCache {
@@ -155,9 +154,26 @@ impl RmsNorm {
         )
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward, with no cache.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.forward(x).0
+        self.apply(x, |_| {})
+    }
+
+    /// `γ ⊙ x / rms(x)` per row; `keep` sees each row's inverse RMS.
+    fn apply(&self, x: &Tensor, mut keep: impl FnMut(f32)) -> Tensor {
+        let (m, d) = (x.rows(), x.cols());
+        let mut out = Tensor::zeros(&[m, d]);
+        let g = self.gamma.value.data();
+        for i in 0..m {
+            let row = x.row(i);
+            let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
+            let irms = 1.0 / (ms + EPS).sqrt();
+            keep(irms);
+            for ((o, &v), &gj) in out.row_mut(i).iter_mut().zip(row).zip(g) {
+                *o = v * irms * gj;
+            }
+        }
+        out
     }
 
     /// Backward pass; returns `dx`.
@@ -313,6 +329,21 @@ mod tests {
             let fd = (rp.forward(&x).0.dot(&dy) - rm.forward(&x).0.dot(&dy)) / (2.0 * h);
             assert!((rn.gamma.grad.data()[j] - fd).abs() < 1e-2, "dgamma[{j}]");
         }
+    }
+
+    /// `infer` skips the cache but gives `forward`'s output bits.
+    #[test]
+    fn infer_matches_forward_bit_for_bit() {
+        let mut rng = Rng64::new(8);
+        let x = Tensor::randn_scaled(&[5, 9], 3.0, &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ln = LayerNorm::new(9);
+        ln.gamma.value = Tensor::randn(&[9], &mut rng);
+        ln.beta.value = Tensor::randn(&[9], &mut rng);
+        assert_eq!(bits(&ln.infer(&x)), bits(&ln.forward(&x).0));
+        let mut rn = RmsNorm::new(9);
+        rn.gamma.value = Tensor::randn(&[9], &mut rng);
+        assert_eq!(bits(&rn.infer(&x)), bits(&rn.forward(&x).0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Canonical Polyadic (CP / PARAFAC) decomposition via alternating least
 //! squares.
 //!
-//! The paper's related work (Phan et al. [34]) compares CP against Tucker
+//! The paper's related work (Phan et al. \[34\]) compares CP against Tucker
 //! for model compression; this module provides the comparator so the
 //! workspace can ablate the two decompositions on the same weight tensors.
 //! A rank-`R` CP decomposition expresses an order-3 tensor as a sum of `R`

@@ -47,7 +47,7 @@ pub fn exp_matches_f32_exp() -> bool {
 }
 
 /// libm `expf`, one element at a time.
-fn exp_scalar(xs: &mut [f32]) {
+pub(crate) fn exp_scalar(xs: &mut [f32]) {
     for x in xs {
         *x = x.exp();
     }
@@ -119,7 +119,7 @@ const FAST_TOP12_MAX: i32 = 0x42a;
 /// Caller must ensure the CPU supports AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_avx2(xs: &mut [f32]) {
+pub(crate) unsafe fn exp_avx2(xs: &mut [f32]) {
     let mut groups = xs.chunks_exact_mut(4);
     for group in &mut groups {
         // SAFETY: the caller guarantees AVX2+FMA; `group` has 4 elements.
@@ -144,7 +144,7 @@ unsafe fn exp_avx2(xs: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
-unsafe fn exp4_avx2(x: &mut [f32]) {
+pub(crate) unsafe fn exp4_avx2(x: &mut [f32]) {
     use core::arch::x86_64::*;
     let orig = [x[0], x[1], x[2], x[3]];
     let p = x.as_mut_ptr();

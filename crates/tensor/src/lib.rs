@@ -20,6 +20,8 @@
 //!   (Algorithm 1 of the paper), with the 2-D fast path
 //!   `T(n1, n2) ≈ U1(n1, pr) · Γ(pr, pr) · U2(pr, n2)` used to factor
 //!   transformer weight matrices.
+//! * [`attention`] — decode attention of one session over a KV cache whose
+//!   keys sit in 8-position tiles, SIMD across keys and heads.
 //! * [`exp`] — a slice `exp` whose AVX2 path is bit-identical to glibc's
 //!   `expf`, for softmax and SiLU.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256++) so every experiment
@@ -44,6 +46,7 @@
 //! # }
 //! ```
 
+pub mod attention;
 pub mod cp;
 pub mod dtype;
 pub mod error;

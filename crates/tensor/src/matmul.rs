@@ -11,7 +11,7 @@
 //!
 //! One exception skips the packing: a product (or a threaded row band of
 //! one) that fits a single block — `m ≤ MC`, `k ≤ KC`, `n ≤ NC`, and
-//! `m·n ≤ 32·NC` (see [`in_place`]) — with `f32` panels and neither
+//! `m·n ≤ 32·NC` (see `in_place`) — with `f32` panels and neither
 //! operand transposed. Packing such a product would copy each element
 //! once and read it once, so [`kernel::gemm_unpacked`] reads A and B where
 //! they lie instead, in the same tiles and the same per-element

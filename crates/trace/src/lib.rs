@@ -5,13 +5,13 @@
 //! counted work — so the workspace instruments its hot paths through one
 //! shared, thread-safe sink instead of ad-hoc prints:
 //!
-//! * [`span`] — hierarchical RAII timing spans
+//! * [`span`](mod@span) — hierarchical RAII timing spans
 //!   (`let _s = span("decompose", "layer 3");`) at sweep/point/phase
 //!   granularity, linked parent→child per thread.
 //! * [`counters`] — monotonically-aggregated atomic counters: SVD
 //!   invocations, GEMM calls/FLOPs by variant and backend, cache
 //!   hits/misses, eval samples scored, sweep points failed.
-//! * [`event`] — one-shot structured records (name + label + numeric
+//! * [`event`](mod@event) — one-shot structured records (name + label + numeric
 //!   fields) for things that are neither durations nor monotone counts,
 //!   e.g. a hardware-simulator report breakdown.
 //! * [`hist`] — exact-sample latency histograms with nearest-rank
