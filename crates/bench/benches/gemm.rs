@@ -3,10 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lrd_tensor::dtype::KernelDtype;
 use lrd_tensor::kernel::Backend;
-use lrd_tensor::matmul::{
-    batched_matmul, factored_matmul, matmul, matmul_transa, matmul_transb, matmul_with, matvec,
-    matvec_transb,
-};
+use lrd_tensor::matmul::{factored_matmul, gemm, matmul, matmul_transa, matmul_transb, Trans};
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
 use std::hint::black_box;
@@ -40,7 +37,7 @@ fn bench_square_dtypes(c: &mut Criterion) {
             BenchmarkId::from_parameter(dtype.name()),
             &dtype,
             |bch, &d| {
-                bch.iter(|| matmul_with(backend, d, black_box(&a), black_box(&b)));
+                bch.iter(|| gemm(backend, d, Trans::No, black_box(&a), black_box(&b)));
             },
         );
     }
@@ -64,18 +61,6 @@ fn bench_token_shapes(c: &mut Criterion) {
     let dy = Tensor::randn(&[768, 112], &mut rng);
     group.bench_function("transa_768x40_x_768x112", |b| {
         b.iter(|| matmul_transa(black_box(&x), black_box(&dy)));
-    });
-    // Single-token decode: matrix–vector against the LM head shape.
-    let head = Tensor::randn(&[112, 40], &mut rng);
-    let v: Vec<f32> = (0..40).map(|i| (i as f32 * 0.17).sin()).collect();
-    group.bench_function("matvec_112x40", |b| {
-        b.iter(|| matvec(black_box(&head), black_box(&v)));
-    });
-    // Decode against the weight as stored (k×n): aᵀ·x without
-    // materializing the transpose.
-    let wkn = Tensor::randn(&[40, 112], &mut rng);
-    group.bench_function("matvec_transb_40x112", |b| {
-        b.iter(|| matvec_transb(black_box(&wkn), black_box(&v)));
     });
     group.finish();
 }
@@ -116,21 +101,11 @@ fn bench_decode_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batched(c: &mut Criterion) {
-    let mut rng = Rng64::new(10);
-    let a = Tensor::randn(&[64, 24, 10], &mut rng);
-    let b = Tensor::randn(&[64, 10, 24], &mut rng);
-    c.bench_function("batched_matmul_64x24x10x24", |bch| {
-        bch.iter(|| batched_matmul(black_box(&a), black_box(&b)));
-    });
-}
-
 criterion_group!(
     benches,
     bench_square,
     bench_square_dtypes,
     bench_token_shapes,
-    bench_decode_shapes,
-    bench_batched
+    bench_decode_shapes
 );
 criterion_main!(benches);

@@ -14,15 +14,18 @@
 //! strictly positive — the chaos CI job uses this to prove faults were
 //! actually injected and retried.
 //!
-//! For the suite document (`--suite`): checks the v4 layout — per-dtype
+//! For the suite document (`--suite`): checks the v5 layout — per-dtype
 //! `kernel_gflops` groups with positive throughputs, a resolved
 //! `kernel_dtype`, nonzero `gemm_bytes_packed`, and (when present, or
 //! demanded by `--require-serve`) the `serve` section: ordered latency
 //! percentiles, positive throughput and goodput, the degradation
 //! accounting identity `completed + rejected + failed + shed + timed_out
-//! == offered`, and a `true` batched-vs-sequential bit-identity verdict
-//! for every variant — the serve-smoke and serve-chaos CI jobs' pass
-//! condition.
+//! == offered`, every `stream_checksum` as an exact 16-digit hex string,
+//! and a `true` batched-vs-sequential bit-identity verdict for every
+//! variant — the serve-smoke and serve-chaos CI jobs' pass condition.
+//! `--require-serve` also demands that every variant's batched run
+//! completed at least one session: a verdict over two empty streams
+//! compares nothing.
 //!
 //! For a merged journal (`--journal`): checks that every line parses as
 //! an `lrd-journal` v1 record, that no `(figure, fingerprint)` key repeats
@@ -84,8 +87,8 @@ fn load_doc(path: &str) -> Json {
 
 /// Validates one serving-run report object (`serve.variants[i].batched` /
 /// `.sequential`): counts consistent, percentiles ordered, throughput
-/// positive when tokens were generated.
-fn check_serve_run(run: &Json, section: &str) {
+/// positive when tokens were generated. Returns the completed sessions.
+fn check_serve_run(run: &Json, section: &str) -> f64 {
     let offered = require_num(run, section, "offered");
     let completed = require_num(run, section, "completed");
     let rejected = require_num(run, section, "rejected");
@@ -158,11 +161,17 @@ fn check_serve_run(run: &Json, section: &str) {
              not positive"
         ));
     }
-    require_num(run, section, "stream_checksum");
+    if run.get("stream_checksum").and_then(Json::as_hex).is_none() {
+        fail(&format!(
+            "{section}.stream_checksum missing or not a \"0x\"-prefixed 16-digit hex string"
+        ));
+    }
+    completed
 }
 
-/// Validates the optional v4 `serve` section.
-fn check_serve_section(serve: &Json) {
+/// Validates the optional v5 `serve` section. With `require_serve`, every
+/// variant's batched run must have completed a session.
+fn check_serve_section(serve: &Json, require_serve: bool) {
     if require_num(serve, "serve", "sessions") <= 0.0 {
         fail("serve.sessions must be positive");
     }
@@ -207,11 +216,15 @@ fn check_serve_section(serve: &Json) {
             ));
         }
         for run in ["batched", "sequential"] {
-            match v.get(run) {
-                Some(r) if r.as_obj().is_some() => {
-                    check_serve_run(r, &format!("{section}.{run}"));
-                }
+            let completed = match v.get(run) {
+                Some(r) if r.as_obj().is_some() => check_serve_run(r, &format!("{section}.{run}")),
                 _ => fail(&format!("{section}.{run} missing or not an object")),
+            };
+            if require_serve && run == "batched" && completed <= 0.0 {
+                fail(&format!(
+                    "{section} (\"{label}\"): no batched session completed, so the \
+                     bit-identity verdict compares two empty streams (--require-serve)"
+                ));
             }
         }
     }
@@ -273,7 +286,7 @@ fn check_journal(path: &str) {
     );
 }
 
-/// Validates a `BENCH_suite.json` document against the v4 layout.
+/// Validates a `BENCH_suite.json` document against the v5 layout.
 fn check_suite(path: &str, require_serve: bool) {
     let doc = load_doc(path);
     if require_str(&doc, "$", "schema") != lrd_bench::SUITE_SCHEMA_NAME {
@@ -353,7 +366,7 @@ fn check_suite(path: &str, require_serve: bool) {
     // The serve section is optional (only `repro serve` writes it), but
     // validated whenever present; `--require-serve` makes absence fatal.
     match doc.get("serve") {
-        Some(serve) if serve.as_obj().is_some() => check_serve_section(serve),
+        Some(serve) if serve.as_obj().is_some() => check_serve_section(serve, require_serve),
         Some(_) => fail("suite serve section is not an object"),
         None if require_serve => fail("suite has no serve section (--require-serve)"),
         None => {}

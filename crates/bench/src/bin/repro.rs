@@ -822,7 +822,7 @@ fn cmd_decode(args: &Args) {
 /// under one deterministic traffic trace, and reports measured per-token
 /// latency percentiles, TTFT, aggregate tokens/s, and goodput for the
 /// continuous-batching server against the sequential baseline. Returns
-/// the `serve` section of `BENCH_suite.json` (schema v4).
+/// the `serve` section of `BENCH_suite.json` (schema v5).
 ///
 /// With serve-plane fault kinds in `--faults` this becomes the chaos
 /// test: graceful degradation (bounded admission, load shedding at a
@@ -1260,17 +1260,16 @@ impl CacheAgg {
     }
 }
 
-/// Measures sustained GFLOP/s for each matmul variant on representative
+/// Measures sustained GFLOP/s for each GEMM variant on representative
 /// shapes (quick calibration pass, under a second total). Returns one
 /// group per kernel storage dtype: the `f32` group covers every entry
-/// point; the `bf16`/`f16` groups cover the dtype-capable ones
-/// (`matmul_with`, the fused factored pipeline).
+/// point; the `bf16`/`f16` groups cover the plain product and the fused
+/// factored pipeline at that panel dtype.
 fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
     use lrd_tensor::dtype::KernelDtype;
     use lrd_tensor::kernel::Backend;
     use lrd_tensor::matmul::{
-        batched_matmul, factored_matmul_with, matmul, matmul_transa, matmul_transb, matmul_with,
-        matvec, matvec_transb, FactoredPlan,
+        factored_matmul_with, gemm, matmul, matmul_transa, matmul_transb, FactoredPlan, Trans,
     };
     use lrd_tensor::rng::Rng64;
     use lrd_tensor::Tensor;
@@ -1292,12 +1291,6 @@ fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
     let a = Tensor::randn(&[n, n], &mut rng);
     let b = Tensor::randn(&[n, n], &mut rng);
     let flops = (2 * n * n * n) as f64;
-    let bat_a = Tensor::randn(&[64, 24, 10], &mut rng);
-    let bat_b = Tensor::randn(&[64, 10, 24], &mut rng);
-    let bat_flops = (64 * 2 * 24 * 10 * 24) as f64;
-    let mv_a = Tensor::randn(&[n, n], &mut rng);
-    let mv_x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).sin()).collect();
-    let mv_flops = (2 * n * n) as f64;
     // The paper's factored-linear shape: 256×256 weight at rank 64,
     // a 128-token tile of activations.
     let (fm, fr) = (128usize, 64usize);
@@ -1333,24 +1326,6 @@ fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
             }),
         ),
         (
-            "batched_matmul_64x24x10x24",
-            time_flops(bat_flops, || {
-                std::hint::black_box(batched_matmul(&bat_a, &bat_b));
-            }),
-        ),
-        (
-            "matvec_256",
-            time_flops(mv_flops, || {
-                std::hint::black_box(matvec(&mv_a, &mv_x));
-            }),
-        ),
-        (
-            "matvec_transb_256",
-            time_flops(mv_flops, || {
-                std::hint::black_box(matvec_transb(&mv_a, &mv_x));
-            }),
-        ),
-        (
             "factored_unfused_128x256_r64",
             time_flops(fac_flops, || {
                 let h1 = matmul(&fx, &fu1);
@@ -1373,7 +1348,7 @@ fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
             group.push((
                 "matmul_256",
                 time_flops(flops, || {
-                    std::hint::black_box(matmul_with(backend, dtype, &a, &b));
+                    std::hint::black_box(gemm(backend, dtype, Trans::No, &a, &b));
                 }),
             ));
         }

@@ -34,7 +34,13 @@ pub const SUITE_SCHEMA_NAME: &str = "lrd-bench-suite";
 /// completed sessions' streams); the serve section itself gained the
 /// resolved chaos knobs (`faults_active`, `deadline_steps`,
 /// `shed_high_water`, `max_admit_per_step`).
-pub const SUITE_SCHEMA_VERSION: u64 = 4;
+///
+/// v5: every serve run's `stream_checksum` is a `"0x"`-prefixed 16-digit
+/// hex string instead of a JSON number, which rounded checksums above
+/// 2⁵³ (two different streams could serialize identically). The `f32`
+/// `kernel_gflops` group lost its `batched_matmul_*`, `matvec_*` and
+/// `matvec_transb_*` timings with those entry points.
+pub const SUITE_SCHEMA_VERSION: u64 = 5;
 
 /// The world seed every experiment shares.
 pub const WORLD_SEED: u64 = 2024;

@@ -145,7 +145,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// The suite/metrics JSON shape of this report (`BENCH_suite.json`
-    /// schema v4 `serve.runs[]` entries).
+    /// schema v5 `serve.variants[].batched` / `.sequential` entries).
     pub fn to_json(&self) -> Json {
         let round3 = |v: f64| (v * 1000.0).round() / 1000.0;
         Json::obj([
@@ -169,7 +169,7 @@ impl ServeReport {
             ),
             ("ttft_ms", self.ttft_ms.to_json()),
             ("per_token_ms", self.per_token_ms.to_json()),
-            ("stream_checksum", Json::uint(self.stream_checksum)),
+            ("stream_checksum", Json::hex(self.stream_checksum)),
         ])
     }
 }
@@ -245,7 +245,8 @@ mod tests {
             goodput_tokens_per_s: 50.0,
             ttft_ms: lrd_trace::Histogram::new().summary(),
             per_token_ms: lrd_trace::Histogram::new().summary(),
-            stream_checksum: 7,
+            // Above 2⁵³: a JSON number would round it.
+            stream_checksum: 0xcbf2_9ce4_8422_2325,
         };
         let j = r.to_json();
         assert_eq!(j.get("label").and_then(Json::as_str), Some("dense"));
@@ -256,6 +257,12 @@ mod tests {
             Some(50.0)
         );
         assert!(j.get("per_token_ms").and_then(|p| p.get("p99")).is_some());
+        let back = lrd_trace::json::parse(&j.render()).unwrap();
+        assert_eq!(
+            back.get("stream_checksum").and_then(Json::as_hex),
+            Some(r.stream_checksum),
+            "the checksum must survive render → parse exactly"
+        );
     }
 
     #[test]

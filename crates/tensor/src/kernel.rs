@@ -1,8 +1,10 @@
 //! Micro-kernels and runtime SIMD dispatch for the packed GEMM engine.
 //!
 //! The engine computes `C += A · B` one `MR × NR` register tile at a time
-//! from panels packed by [`crate::pack`]. Two kernel implementations share
-//! that contract:
+//! from panels packed by [`crate::pack`]; these tile kernels are the only
+//! compute kernels GEMM has. [`microkernel`] reads `f32` B panels and
+//! [`microkernel_u16`] widens `bf16`/`f16` ones. Two implementations of
+//! each share that contract:
 //!
 //! * an explicit AVX2+FMA kernel (`x86_64` only), selected at runtime via
 //!   `is_x86_feature_detected!`, and
@@ -598,140 +600,6 @@ unsafe fn microkernel_avx2_f16(kc: usize, a: &[f32], b: &[u16], c: &mut [f32], l
     }
 }
 
-/// Dot product `a · b` on the dispatched backend — the GEMV kernel.
-#[inline]
-pub fn dot(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match backend {
-        Backend::Scalar => dot_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only ever constructed after runtime detection.
-        Backend::Avx2Fma => unsafe { dot_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => dot_scalar(a, b),
-    }
-}
-
-/// Portable dot product with 4 independent accumulation lanes (matches the
-/// lane-then-reduce order of the SIMD kernel closely enough for the shared
-/// tolerance).
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        for l in 0..4 {
-            acc[l] += a[i * 4 + l] * b[i * 4 + l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 4..a.len() {
-        tail += a[i] * b[i];
-    }
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
-}
-
-/// AVX2+FMA dot product: two 8-lane accumulators, horizontal reduction at
-/// the end.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2 and FMA and `a.len() == b.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    use core::arch::x86_64::*;
-    // SAFETY: the caller upholds this fn's contract — AVX2+FMA are
-    // present and `a.len() == b.len()` — so every `i` indexed below is
-    // in bounds for both slices.
-    unsafe {
-        let n = a.len();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-                acc1,
-            );
-            i += 16;
-        }
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            i += 8;
-        }
-        let acc = _mm256_add_ps(acc0, acc1);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let lo = _mm256_castps256_ps128(acc);
-        let sum4 = _mm_add_ps(lo, hi);
-        let sum2 = _mm_add_ps(sum4, _mm_movehl_ps(sum4, sum4));
-        let sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 0x1));
-        let mut total = _mm_cvtss_f32(sum1);
-        while i < n {
-            total += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        total
-    }
-}
-
-/// `y += alpha · x` on the dispatched backend — the row-streaming kernel
-/// behind [`crate::matmul::matvec_transb`]. Both slices must have equal
-/// length.
-#[inline]
-pub fn axpy(backend: Backend, alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    match backend {
-        Backend::Scalar => axpy_scalar(alpha, x, y),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only ever constructed after runtime detection.
-        Backend::Avx2Fma => unsafe { axpy_avx2(alpha, x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => axpy_scalar(alpha, x, y),
-    }
-}
-
-/// Portable axpy. Element-wise, so scalar and SIMD agree except for FMA's
-/// missing intermediate rounding.
-fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += alpha * xv;
-    }
-}
-
-/// AVX2+FMA axpy: one broadcast, 8 lanes per FMA.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2 and FMA and
-/// `x.len() == y.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-    use core::arch::x86_64::*;
-    // SAFETY: the caller upholds this fn's contract — AVX2+FMA are present
-    // and `x.len() == y.len()` — so every index below is in bounds.
-    unsafe {
-        let n = y.len();
-        let av = _mm256_set1_ps(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            _mm256_storeu_ps(yp.add(i), acc);
-            i += 8;
-        }
-        while i < n {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,19 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_kernels_agree() {
-        let a: Vec<f32> = (0..103).map(|i| (i as f32 * 0.37).sin()).collect();
-        let b: Vec<f32> = (0..103).map(|i| (i as f32 * 0.21).cos()).collect();
-        let s = dot(Backend::Scalar, &a, &b);
-        let naive: f32 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-        assert!((s - naive).abs() < 1e-3);
-        if let Some(simd) = Backend::detect_simd() {
-            let v = dot(simd, &a, &b);
-            assert!((s - v).abs() <= 1e-4 * (1.0 + s.abs()));
-        }
-    }
-
-    #[test]
     fn u16_scalar_kernel_matches_widened_f32_kernel() {
         use crate::dtype::{decode_u16, encode_u16};
         for dtype in [KernelDtype::Bf16, KernelDtype::F16] {
@@ -857,24 +712,6 @@ mod tests {
                         "{dtype:?} kc={kc}: {x} vs {y}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_kernels_agree() {
-        let x: Vec<f32> = (0..77).map(|i| (i as f32 * 0.31).sin()).collect();
-        let mut ys = vec![0.2f32; 77];
-        axpy(Backend::Scalar, 1.7, &x, &mut ys);
-        for (i, &y) in ys.iter().enumerate() {
-            let want = 0.2 + 1.7 * x[i];
-            assert!((y - want).abs() < 1e-5);
-        }
-        if let Some(simd) = Backend::detect_simd() {
-            let mut yv = vec![0.2f32; 77];
-            axpy(simd, 1.7, &x, &mut yv);
-            for (s, v) in ys.iter().zip(&yv) {
-                assert!((s - v).abs() <= 1e-5 * (1.0 + s.abs()));
             }
         }
     }

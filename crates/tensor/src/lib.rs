@@ -9,8 +9,9 @@
 //! * [`Tensor`] — a row-major dense `f32` n-dimensional array with mode-`n`
 //!   unfolding/folding (matricization), the core primitive of tensor
 //!   decomposition.
-//! * [`matmul`] — packed, multi-threaded GEMM / GEMV / batched GEMM; every
-//!   variant routes through one BLIS-style blocked engine ([`pack`]) with an
+//! * [`matmul`] — packed, multi-threaded GEMM behind one entry point
+//!   (`gemm(backend, dtype, trans, a, b)`) plus the fused factored product;
+//!   both run through one BLIS-style blocked engine ([`pack`]) with an
 //!   explicit runtime-dispatched SIMD micro-kernel ([`kernel`]), and
 //!   single-block products skip the packing.
 //! * [`qr`] — Householder QR (thin form), used by the randomized SVD.

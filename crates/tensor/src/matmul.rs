@@ -1,13 +1,20 @@
-//! Matrix multiplication: one packed GEMM engine for every variant.
+//! Matrix multiplication: one packed GEMM engine behind one entry point.
 //!
-//! All entry points — [`matmul`], [`matmul_transa`], [`matmul_transb`],
-//! [`batched_matmul`], and (via the shared dot kernel) [`matvec`] — route
-//! through a single BLIS-style blocked engine: operand panels are packed
-//! into contiguous micro-kernel-aligned buffers ([`crate::pack`]) and
-//! executed by an explicit SIMD micro-kernel with runtime dispatch and a
-//! portable scalar fallback ([`crate::kernel`]). Transposed variants differ
-//! only in how their panels are packed, so blocking, threading, and SIMD
-//! come for free instead of through divergent hand-written loops.
+//! [`gemm`] takes the whole op descriptor — kernel [`Backend`], B-panel
+//! [`KernelDtype`] and which operand is transposed ([`Trans`]) — and is
+//! the only path into the engine for plain products. [`matmul`],
+//! [`matmul_transa`] and [`matmul_transb`] are its `f32` shorthands on
+//! the active backend. The fused factored product (`factored_matmul*`,
+//! [`FactoredPlan`]) streams three products through the same engine.
+//!
+//! The engine is BLIS-style: operand panels are packed into contiguous
+//! micro-kernel-aligned buffers ([`crate::pack`]) and executed by an
+//! explicit SIMD micro-kernel with runtime dispatch and a portable scalar
+//! fallback ([`crate::kernel`]). The transposes differ only in how their
+//! panels are packed, so blocking, threading, and SIMD come for free
+//! instead of through divergent hand-written loops. One macro-kernel loop
+//! (`macro_kernel`) runs every packed `(jc, pc)` block of B, whether the
+//! block was packed for this call or prepacked once by a plan.
 //!
 //! One exception skips the packing: a product (or a threaded row band of
 //! one) that fits a single block — `m ≤ MC`, `k ≤ KC`, `n ≤ NC`, and
@@ -17,9 +24,8 @@
 //! they lie instead, in the same tiles and the same per-element
 //! accumulation order; the bits are unchanged. Every decode projection,
 //! dense and factored, takes this route. The route depends on the shape
-//! alone, so it is the same on both backends. The transposed entry
-//! points, 16-bit panels, [`FactoredPlan`] and multi-block products still
-//! pack.
+//! alone, so it is the same on both backends. Transposed products,
+//! 16-bit panels, [`FactoredPlan`] and multi-block products still pack.
 //!
 //! Large problems are threaded with `std::thread::scope` over row bands of
 //! C. Results are deterministic: each C element's accumulation order over k
@@ -31,7 +37,7 @@ use crate::dtype::KernelDtype;
 use crate::kernel::{self, Backend, MR, NR};
 use crate::pack::{pack_a, pack_b, pack_b_u16, packed_a_len, packed_b_len, MatRef};
 use crate::Tensor;
-use lrd_trace::counters::{self, record_gemm, record_gemm_typed, Counter, GemmVariant};
+use lrd_trace::counters::{self, record_gemm, Counter, GemmVariant};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Problems smaller than this many MACs run single-threaded.
@@ -58,86 +64,114 @@ pub fn set_thread_limit(limit: usize) -> usize {
     THREAD_LIMIT.swap(limit, Ordering::Relaxed)
 }
 
-/// The current GEMM thread cap (`0` = unlimited).
-pub fn thread_limit() -> usize {
-    THREAD_LIMIT.load(Ordering::Relaxed)
-}
-
 /// Number of worker threads to use for a problem of `macs` multiply-adds
 /// split across `rows` independent bands. The ceiling is the host's
 /// available parallelism (not a hardcoded constant, so many-core machines
 /// aren't silently throttled), further capped by [`set_thread_limit`].
 fn thread_count(macs: usize, rows: usize) -> usize {
-    thread_count_with(PARALLEL_THRESHOLD, macs, rows)
-}
-
-/// [`thread_count`] with an explicit serial threshold. The batched path
-/// threads earlier (slices are fully independent, so workers never share
-/// packed panels and the spawn cost amortizes over whole slices).
-fn thread_count_with(threshold: usize, macs: usize, rows: usize) -> usize {
-    if macs < threshold {
+    if macs < PARALLEL_THRESHOLD {
         return 1;
     }
     // lrd-lint: allow(determinism, "thread count only bands independent output rows; each f32 cell is produced by exactly one worker, so results are bit-identical at any width")
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1);
-    let limit = thread_limit();
+    let limit = THREAD_LIMIT.load(Ordering::Relaxed);
     let cap = if limit == 0 { hw } else { limit };
     hw.min(cap).min(rows).max(1)
 }
 
-/// Reusable packing buffers for the blocked engine. One scratch lives per
-/// worker thread; callers that issue many small GEMMs back to back (the
-/// batched path) reuse it across calls so panel buffers are allocated once
-/// per batch instead of once per slice.
-#[derive(Default)]
-struct GemmScratch {
-    apack: Vec<f32>,
-    bpack_f32: Vec<f32>,
-    bpack_u16: Vec<u16>,
+/// Packed B storage at either panel precision.
+enum PanelBuf {
+    F32(Vec<f32>),
+    U16(Vec<u16>, KernelDtype),
 }
 
-/// A packed B panel in either storage precision, ready for the micro loop.
-enum BPanel<'a> {
-    F32(&'a [f32]),
-    U16(&'a [u16], KernelDtype),
+impl PanelBuf {
+    fn new(dtype: KernelDtype) -> Self {
+        match dtype {
+            KernelDtype::F32 => PanelBuf::F32(Vec::new()),
+            _ => PanelBuf::U16(Vec::new(), dtype),
+        }
+    }
+
+    /// Packs `blk` of `b` at element offset `off`, growing the buffer if
+    /// it is too short. Returns the bytes written.
+    fn pack(&mut self, b: &MatRef, blk: &Block, off: usize) -> u64 {
+        let len = packed_b_len(blk.kc, blk.nc);
+        let Block { jc, nc, pc, kc } = *blk;
+        match self {
+            PanelBuf::F32(buf) => {
+                if buf.len() < off + len {
+                    buf.resize(off + len, 0.0);
+                }
+                pack_b(&mut buf[off..], b, pc, kc, jc, nc);
+                (len * 4) as u64
+            }
+            PanelBuf::U16(buf, dtype) => {
+                if buf.len() < off + len {
+                    buf.resize(off + len, 0);
+                }
+                pack_b_u16(&mut buf[off..], *dtype, b, pc, kc, jc, nc);
+                (len * 2) as u64
+            }
+        }
+    }
 }
 
-/// Runs one `MR×NR` micro-tile (edge tiles via a local buffer) against a
-/// packed B panel of either storage dtype.
+/// One `(jc, pc)` block of B: columns `jc..jc+nc`, depth `pc..pc+kc`.
+#[derive(Clone, Copy)]
+struct Block {
+    jc: usize,
+    nc: usize,
+    pc: usize,
+    kc: usize,
+}
+
+/// Every block of a `k × n` B in loop-nest order: `jc` outer, `pc` inner.
+fn blocks(k: usize, n: usize) -> impl Iterator<Item = Block> {
+    (0..n).step_by(NC).flat_map(move |jc| {
+        (0..k).step_by(KC).map(move |pc| Block {
+            jc,
+            nc: NC.min(n - jc),
+            pc,
+            kc: KC.min(k - pc),
+        })
+    })
+}
+
+/// Runs one `MR×NR` micro-tile (edge tiles via a local buffer) against
+/// the B micro-panel at element offset `boff` of `b`, of either storage
+/// dtype.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn run_tile(
     backend: Backend,
     kc: usize,
     apanel: &[f32],
-    bpanel: &BPanel,
+    b: &PanelBuf,
+    boff: usize,
     mr: usize,
     nr: usize,
     c_band: &mut [f32],
     off: usize,
     ldc: usize,
 ) {
-    if mr == MR && nr == NR {
-        match bpanel {
-            BPanel::F32(buf) => {
-                kernel::microkernel(backend, kc, apanel, buf, &mut c_band[off..], ldc);
-            }
-            BPanel::U16(buf, dt) => {
-                kernel::microkernel_u16(backend, *dt, kc, apanel, buf, &mut c_band[off..], ldc);
-            }
+    let tile_kernel = |c: &mut [f32], ldc: usize| match b {
+        PanelBuf::F32(buf) => {
+            kernel::microkernel(backend, kc, apanel, &buf[boff..][..NR * kc], c, ldc);
         }
+        PanelBuf::U16(buf, dt) => {
+            kernel::microkernel_u16(backend, *dt, kc, apanel, &buf[boff..][..NR * kc], c, ldc);
+        }
+    };
+    if mr == MR && nr == NR {
+        tile_kernel(&mut c_band[off..], ldc);
     } else {
         // Edge tile: compute into a local buffer, add only the valid
         // region back.
         let mut tile = [0.0f32; MR * NR];
-        match bpanel {
-            BPanel::F32(buf) => kernel::microkernel(backend, kc, apanel, buf, &mut tile, NR),
-            BPanel::U16(buf, dt) => {
-                kernel::microkernel_u16(backend, *dt, kc, apanel, buf, &mut tile, NR);
-            }
-        }
+        tile_kernel(&mut tile, NR);
         for r in 0..mr {
             let dst = off + r * ldc;
             for (cv, &tv) in c_band[dst..dst + nr].iter_mut().zip(&tile[r * NR..]) {
@@ -145,6 +179,47 @@ fn run_tile(
             }
         }
     }
+}
+
+/// The macro-kernel: `C[i0..i0+m][jc..jc+nc] += A[i0..i0+m][pc..pc+kc] ·
+/// B-block`, where `b` holds `blk` packed from element offset `boff` on
+/// and `c_band` holds rows
+/// `i0..` of C at row stride `ldc`. Each `MC`-row chunk of A is packed
+/// into `apack`, then every `MR × NR` tile runs, `NR`-column strips outer.
+/// Both the packed and the prepacked paths run their blocks through here,
+/// so their per-element accumulation order is the same. Returns the bytes
+/// written into A panels.
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel(
+    backend: Backend,
+    a: &MatRef,
+    i0: usize,
+    m: usize,
+    blk: &Block,
+    b: &PanelBuf,
+    boff: usize,
+    c_band: &mut [f32],
+    ldc: usize,
+    apack: &mut [f32],
+) -> u64 {
+    let Block { jc, nc, pc, kc } = *blk;
+    let mut bytes_packed = 0u64;
+    for ic in (0..m).step_by(MC) {
+        let mc = MC.min(m - ic);
+        pack_a(apack, a, i0 + ic, mc, pc, kc);
+        bytes_packed += (packed_a_len(mc, kc) * 4) as u64;
+        for jr in (0..nc).step_by(NR) {
+            let nr = NR.min(nc - jr);
+            let bpanel = boff + (jr / NR) * NR * kc;
+            for ir in (0..mc).step_by(MR) {
+                let mr = MR.min(mc - ir);
+                let apanel = &apack[(ir / MR) * MR * kc..][..MR * kc];
+                let off = (ic + ir) * ldc + jc + jr;
+                run_tile(backend, kc, apanel, b, bpanel, mr, nr, c_band, off, ldc);
+            }
+        }
+    }
+    bytes_packed
 }
 
 /// Whether an `m × k · k × n` product skips packing. It must be a single
@@ -166,7 +241,6 @@ fn in_place(m: usize, k: usize, n: usize) -> bool {
 /// A band that is [`in_place`] with `f32` panels and untransposed
 /// operands skips packing: [`kernel::gemm_unpacked`] reads A and B in
 /// place with the same per-element accumulation order, so the bits match.
-#[allow(clippy::too_many_arguments)]
 fn gemm_block(
     backend: Backend,
     dtype: KernelDtype,
@@ -175,7 +249,6 @@ fn gemm_block(
     i0: usize,
     m: usize,
     c_band: &mut [f32],
-    scratch: &mut GemmScratch,
 ) {
     let (n, k) = (b.cols(), a.cols());
     if m == 0 || n == 0 || k == 0 {
@@ -187,54 +260,13 @@ fn gemm_block(
             return;
         }
     }
-    let kc_bound = KC.min(k);
-    let b_len = packed_b_len(kc_bound, NC.min(n));
-    let a_len = packed_a_len(MC.min(m), kc_bound);
-    if scratch.apack.len() < a_len {
-        scratch.apack.resize(a_len, 0.0);
-    }
-    match dtype {
-        KernelDtype::F32 => {
-            if scratch.bpack_f32.len() < b_len {
-                scratch.bpack_f32.resize(b_len, 0.0);
-            }
-        }
-        _ => {
-            if scratch.bpack_u16.len() < b_len {
-                scratch.bpack_u16.resize(b_len, 0);
-            }
-        }
-    }
+    let mut apack = vec![0.0f32; packed_a_len(MC.min(m), KC.min(k))];
+    // The first block is the largest, so the buffer is sized once.
+    let mut bpack = PanelBuf::new(dtype);
     let mut bytes_packed = 0u64;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            match dtype {
-                KernelDtype::F32 => pack_b(&mut scratch.bpack_f32, b, pc, kc, jc, nc),
-                _ => pack_b_u16(&mut scratch.bpack_u16, dtype, b, pc, kc, jc, nc),
-            }
-            bytes_packed += (packed_b_len(kc, nc) * dtype.bytes()) as u64;
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                pack_a(&mut scratch.apack, a, i0 + ic, mc, pc, kc);
-                bytes_packed += (packed_a_len(mc, kc) * 4) as u64;
-                for jr in (0..nc).step_by(NR) {
-                    let nr = NR.min(nc - jr);
-                    let poff = (jr / NR) * NR * kc;
-                    let bpanel = match dtype {
-                        KernelDtype::F32 => BPanel::F32(&scratch.bpack_f32[poff..][..NR * kc]),
-                        _ => BPanel::U16(&scratch.bpack_u16[poff..][..NR * kc], dtype),
-                    };
-                    for ir in (0..mc).step_by(MR) {
-                        let mr = MR.min(mc - ir);
-                        let apanel = &scratch.apack[(ir / MR) * MR * kc..][..MR * kc];
-                        let off = (ic + ir) * n + jc + jr;
-                        run_tile(backend, kc, apanel, &bpanel, mr, nr, c_band, off, n);
-                    }
-                }
-            }
-        }
+    for blk in blocks(k, n) {
+        bytes_packed += bpack.pack(b, &blk, 0);
+        bytes_packed += macro_kernel(backend, a, i0, m, &blk, &bpack, 0, c_band, n, &mut apack);
     }
     counters::add(Counter::GemmBytesPacked, bytes_packed);
 }
@@ -247,16 +279,7 @@ fn gemm_driver(backend: Backend, dtype: KernelDtype, a: &MatRef, b: &MatRef, c: 
     let threads = thread_count(m * n * k, m);
     let c_data = c.data_mut();
     if threads <= 1 {
-        gemm_block(
-            backend,
-            dtype,
-            a,
-            b,
-            0,
-            m,
-            c_data,
-            &mut GemmScratch::default(),
-        );
+        gemm_block(backend, dtype, a, b, 0, m, c_data);
         return;
     }
     let band = m.div_ceil(threads);
@@ -268,24 +291,89 @@ fn gemm_driver(backend: Backend, dtype: KernelDtype, a: &MatRef, b: &MatRef, c: 
             let (mine, tail) = rest.split_at_mut(rows * n);
             rest = tail;
             let (a, b) = (*a, *b);
-            scope.spawn(move || {
-                gemm_block(
-                    backend,
-                    dtype,
-                    &a,
-                    &b,
-                    row0,
-                    rows,
-                    mine,
-                    &mut GemmScratch::default(),
-                );
-            });
+            scope.spawn(move || gemm_block(backend, dtype, &a, &b, row0, rows, mine));
             row0 += rows;
         }
     });
 }
 
-/// Computes `a · b` for matrices `a (m×k)` and `b (k×n)`.
+/// Which operand of a [`gemm`] is read transposed. The transpose happens
+/// at pack time, so no transposed copy is ever materialized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trans {
+    /// `a · b` for `a (m×k)`, `b (k×n)`.
+    No,
+    /// `aᵀ · b` for `a (k×m)`, `b (k×n)`.
+    A,
+    /// `a · bᵀ` for `a (m×k)`, `b (n×k)`.
+    B,
+}
+
+/// The GEMM entry point: `C (m×n)` as `a · b`, `aᵀ · b` or `a · bᵀ`
+/// (picked by `trans`) on kernel `backend`, with B's packed panels stored
+/// at `dtype`.
+///
+/// With `dtype` `bf16`/`f16`, B's panels are widened to `f32` in
+/// registers, trading one half-ULP-of-`dtype` rounding per B element for
+/// half the B-panel memory traffic; `a` (the activation side) always stays
+/// `f32`. See `KernelDtype::gemm_rel_tol` for the accuracy contract.
+///
+/// # Panics
+///
+/// Panics if the operands are not order-2 or the shared dimensions disagree.
+///
+/// # Example
+///
+/// ```
+/// use lrd_tensor::dtype::KernelDtype;
+/// use lrd_tensor::kernel::Backend;
+/// use lrd_tensor::matmul::{gemm, Trans};
+/// use lrd_tensor::Tensor;
+///
+/// let a = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
+/// let c = gemm(Backend::Scalar, KernelDtype::F32, Trans::A, &a, &a);
+/// assert_eq!(c.dims(), &[3, 3]);
+/// assert_eq!(c.get(&[0, 0]), 17.0);
+/// ```
+pub fn gemm(backend: Backend, dtype: KernelDtype, trans: Trans, a: &Tensor, b: &Tensor) -> Tensor {
+    let (ar, ac, br, bc) = (a.rows(), a.cols(), b.rows(), b.cols());
+    let (variant, a_ref, b_ref) = match trans {
+        Trans::No => (
+            GemmVariant::Matmul,
+            MatRef::new(a.data(), ar, ac),
+            MatRef::new(b.data(), br, bc),
+        ),
+        Trans::A => (
+            GemmVariant::MatmulTransA,
+            MatRef::transposed(a.data(), ac, ar),
+            MatRef::new(b.data(), br, bc),
+        ),
+        Trans::B => (
+            GemmVariant::MatmulTransB,
+            MatRef::new(a.data(), ar, ac),
+            MatRef::transposed(b.data(), bc, br),
+        ),
+    };
+    let (m, k, n) = (a_ref.rows(), a_ref.cols(), b_ref.cols());
+    assert_eq!(
+        k,
+        b_ref.rows(),
+        "{} inner dimension mismatch: {ar}×{ac} · {br}×{bc}",
+        variant.name()
+    );
+    record_gemm(
+        variant,
+        backend.name(),
+        dtype.name(),
+        2 * (m * n * k) as u64,
+    );
+    let mut c = Tensor::zeros(&[m, n]);
+    gemm_driver(backend, dtype, &a_ref, &b_ref, &mut c);
+    c
+}
+
+/// Computes `a · b` for matrices `a (m×k)` and `b (k×n)`: [`gemm`] on the
+/// active backend with `f32` panels.
 ///
 /// # Panics
 ///
@@ -301,283 +389,30 @@ fn gemm_driver(backend: Backend, dtype: KernelDtype, a: &MatRef, b: &MatRef, c: 
 /// assert_eq!(matmul(&a, &b), a);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_on(Backend::active(), a, b)
+    gemm(Backend::active(), KernelDtype::F32, Trans::No, a, b)
 }
 
-/// [`matmul`] on an explicit kernel backend (scalar-vs-SIMD testing hook).
-pub fn matmul_on(backend: Backend, a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_with(backend, KernelDtype::F32, a, b)
-}
-
-/// [`matmul`] with explicit kernel backend and packed-panel storage dtype:
-/// `b`'s panels are stored at `dtype` and widened to `f32` in registers,
-/// trading one half-ULP-of-`dtype` rounding per weight element for half
-/// the B-panel memory traffic. `a` (the activation side) always stays
-/// `f32`. See `KernelDtype::gemm_rel_tol` for the accuracy contract.
-pub fn matmul_with(backend: Backend, dtype: KernelDtype, a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (k2, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k, k2,
-        "matmul inner dimension mismatch: {}×{} · {}×{}",
-        m, k, k2, n
-    );
-    record_gemm_typed(
-        GemmVariant::Matmul,
-        backend.name(),
-        dtype.name(),
-        2 * (m * n * k) as u64,
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_driver(
-        backend,
-        dtype,
-        &MatRef::new(a.data(), m, k),
-        &MatRef::new(b.data(), k, n),
-        &mut c,
-    );
-    c
-}
-
-/// Computes `a · bᵀ` for `a (m×k)`, `b (n×k)` without materializing `bᵀ`
-/// (the transpose happens at pack time).
+/// Computes `a · bᵀ` for `a (m×k)`, `b (n×k)`: [`gemm`] with [`Trans::B`]
+/// on the active backend with `f32` panels.
 ///
 /// # Panics
 ///
 /// Panics if the operands are not order-2 or the shared dimensions disagree.
 pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transb_on(Backend::active(), a, b)
+    gemm(Backend::active(), KernelDtype::F32, Trans::B, a, b)
 }
 
-/// [`matmul_transb`] on an explicit kernel backend.
-pub fn matmul_transb_on(backend: Backend, a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transb_with(backend, KernelDtype::F32, a, b)
-}
-
-/// [`matmul_transb`] with explicit backend and B-panel storage dtype.
-pub fn matmul_transb_with(backend: Backend, dtype: KernelDtype, a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, k2) = (b.rows(), b.cols());
-    assert_eq!(k, k2, "matmul_transb shared dimension mismatch");
-    record_gemm_typed(
-        GemmVariant::MatmulTransB,
-        backend.name(),
-        dtype.name(),
-        2 * (m * n * k) as u64,
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_driver(
-        backend,
-        dtype,
-        &MatRef::new(a.data(), m, k),
-        &MatRef::transposed(b.data(), k, n),
-        &mut c,
-    );
-    c
-}
-
-/// Computes `aᵀ · b` for `a (k×m)`, `b (k×n)` without materializing `aᵀ`
-/// (the transpose happens at pack time, so this path gets the same
-/// blocking, SIMD, and row-band threading as plain [`matmul`]).
+/// Computes `aᵀ · b` for `a (k×m)`, `b (k×n)`: [`gemm`] with [`Trans::A`]
+/// on the active backend with `f32` panels.
 ///
 /// # Panics
 ///
 /// Panics if the operands are not order-2 or the shared dimensions disagree.
 pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transa_on(Backend::active(), a, b)
+    gemm(Backend::active(), KernelDtype::F32, Trans::A, a, b)
 }
 
-/// [`matmul_transa`] on an explicit kernel backend.
-pub fn matmul_transa_on(backend: Backend, a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transa_with(backend, KernelDtype::F32, a, b)
-}
-
-/// [`matmul_transa`] with explicit backend and B-panel storage dtype.
-pub fn matmul_transa_with(backend: Backend, dtype: KernelDtype, a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = (a.rows(), a.cols());
-    let (k2, n) = (b.rows(), b.cols());
-    assert_eq!(k, k2, "matmul_transa shared dimension mismatch");
-    record_gemm_typed(
-        GemmVariant::MatmulTransA,
-        backend.name(),
-        dtype.name(),
-        2 * (m * n * k) as u64,
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_driver(
-        backend,
-        dtype,
-        &MatRef::transposed(a.data(), m, k),
-        &MatRef::new(b.data(), k, n),
-        &mut c,
-    );
-    c
-}
-
-/// Matrix–vector product `a (m×k) · x (k)` via the engine's SIMD dot
-/// kernel.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    let backend = Backend::active();
-    let (m, k) = (a.rows(), a.cols());
-    assert_eq!(k, x.len(), "matvec dimension mismatch");
-    record_gemm(GemmVariant::Matvec, backend.name(), 2 * (m * k) as u64);
-    let mut y = vec![0.0f32; m];
-    let threads = thread_count(m * k, m);
-    let run_rows = |i0: usize, y_band: &mut [f32]| {
-        for (r, yv) in y_band.iter_mut().enumerate() {
-            let i = i0 + r;
-            *yv = kernel::dot(backend, &a.data()[i * k..(i + 1) * k], x);
-        }
-    };
-    if threads <= 1 {
-        run_rows(0, &mut y);
-        return y;
-    }
-    let band = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = y.as_mut_slice();
-        let mut i0 = 0usize;
-        while i0 < m {
-            let rows = band.min(m - i0);
-            let (mine, tail) = rest.split_at_mut(rows);
-            rest = tail;
-            let run = &run_rows;
-            scope.spawn(move || run(i0, mine));
-            i0 += rows;
-        }
-    });
-    y
-}
-
-/// Matrix–vector product against the *transposed* matrix without
-/// materializing it: `aᵀ (n×k) · x (k)` for row-major `a (k×n)` — the
-/// decode-path shape, where weights stored `(in × out)` multiply a single
-/// activation row. Instead of gathering strided columns per output (what
-/// `matvec(&a.transpose(), x)` costs, plus the transpose copy), this
-/// streams `a` row-major once, accumulating `y += x[kk] · a[kk][..]` with
-/// the SIMD axpy kernel.
-///
-/// Deterministic at any thread count: each `y[j]` accumulates in fixed
-/// `kk` order regardless of how columns are banded.
-///
-/// # Panics
-///
-/// Panics if `a` is not order-2 or `x`'s length differs from `a.rows()`.
-pub fn matvec_transb(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    let backend = Backend::active();
-    let (k, n) = (a.rows(), a.cols());
-    assert_eq!(k, x.len(), "matvec_transb dimension mismatch");
-    record_gemm(
-        GemmVariant::MatvecTransB,
-        backend.name(),
-        2 * (n * k) as u64,
-    );
-    let mut y = vec![0.0f32; n];
-    let a_data = a.data();
-    let threads = thread_count(n * k, n);
-    let run_cols = |j0: usize, y_band: &mut [f32]| {
-        let cols = y_band.len();
-        for (kk, &xv) in x.iter().enumerate() {
-            kernel::axpy(
-                backend,
-                xv,
-                &a_data[kk * n + j0..kk * n + j0 + cols],
-                y_band,
-            );
-        }
-    };
-    if threads <= 1 {
-        run_cols(0, &mut y);
-        return y;
-    }
-    let band = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = y.as_mut_slice();
-        let mut j0 = 0usize;
-        while j0 < n {
-            let cols = band.min(n - j0);
-            let (mine, tail) = rest.split_at_mut(cols);
-            rest = tail;
-            let run = &run_cols;
-            scope.spawn(move || run(j0, mine));
-            j0 += cols;
-        }
-    });
-    y
-}
-
-/// Batched GEMM for order-3 tensors: `(B, m, k) · (B, k, n) → (B, m, n)`,
-/// each slice through the packed engine, threaded across batch entries.
-///
-/// # Panics
-///
-/// Panics if operands are not order-3 or dimensions disagree.
-pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let backend = Backend::active();
-    assert_eq!(a.shape().order(), 3, "batched_matmul expects order-3 lhs");
-    assert_eq!(b.shape().order(), 3, "batched_matmul expects order-3 rhs");
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, k2, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(ba, bb, "batched_matmul batch mismatch");
-    assert_eq!(k, k2, "batched_matmul inner dimension mismatch");
-    record_gemm(
-        GemmVariant::Batched,
-        backend.name(),
-        2 * (ba * m * n * k) as u64,
-    );
-    let mut c = Tensor::zeros(&[ba, m, n]);
-    let threads = thread_count_with(PARALLEL_THRESHOLD / 4, ba * m * n * k, ba);
-    let a_data = a.data();
-    let b_data = b.data();
-    let c_data = c.data_mut();
-    // One scratch per worker, reused across every slice it owns: panel
-    // buffers are allocated once per batch run, not once per slice, which
-    // is where the old per-slice `vec![…]` allocations burned the
-    // small-slice shapes (tens of µs of allocator traffic per call).
-    let run_slices = |b0: usize, count: usize, c_chunk: &mut [f32]| {
-        let mut scratch = GemmScratch::default();
-        for (si, c_sl) in c_chunk.chunks_mut(m * n).enumerate() {
-            let bi = b0 + si;
-            debug_assert!(si < count);
-            let a_sl = &a_data[bi * m * k..(bi + 1) * m * k];
-            let b_sl = &b_data[bi * k * n..(bi + 1) * k * n];
-            gemm_block(
-                backend,
-                KernelDtype::F32,
-                &MatRef::new(a_sl, m, k),
-                &MatRef::new(b_sl, k, n),
-                0,
-                m,
-                c_sl,
-                &mut scratch,
-            );
-        }
-    };
-    if threads <= 1 {
-        run_slices(0, ba, c_data);
-        return c;
-    }
-    let band = ba.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = c_data;
-        let mut b0 = 0usize;
-        while b0 < ba {
-            let count = band.min(ba - b0);
-            let (mine, tail) = rest.split_at_mut(count * m * n);
-            rest = tail;
-            let run = &run_slices;
-            scope.spawn(move || run(b0, count, mine));
-            b0 += count;
-        }
-    });
-    c
-}
-
-/// A weight-side GEMM operand packed once into every `(jc, pc)` panel the
+/// A weight-side GEMM operand packed once into every `(jc, pc)` block the
 /// blocked loop nest will touch, stored in loop order. The factored path
 /// packs its three tiny factor matrices once and reuses the panels for
 /// every row chunk of every worker, instead of re-packing per chunk the
@@ -585,73 +420,40 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
 struct PrepackedB {
     k: usize,
     n: usize,
-    dtype: KernelDtype,
-    data_f32: Vec<f32>,
-    data_u16: Vec<u16>,
-    blocks: Vec<PackedBlock>,
+    panels: PanelBuf,
+    /// Each block with its element offset into `panels`.
+    blocks: Vec<(Block, usize)>,
 }
 
-/// One packed `(jc, pc)` block of a [`PrepackedB`].
-struct PackedBlock {
-    jc: usize,
-    nc: usize,
-    pc: usize,
-    kc: usize,
-    off: usize,
-}
-
-/// Packs every `(jc, pc)` block of `b` at `dtype` storage precision, in
-/// the exact order [`gemm_block`] would visit them (jc outer, pc inner),
-/// so per-element accumulation order — and hence f32 bit-identity with the
-/// unfused path — is preserved.
+/// Packs every block of `b` at `dtype` storage precision, in the exact
+/// order [`gemm_block`] visits them, so per-element accumulation order —
+/// and hence f32 bit-identity with the unfused path — is preserved.
 fn prepack_b(b: &MatRef, dtype: KernelDtype) -> PrepackedB {
     let (k, n) = (b.rows(), b.cols());
-    let mut packed = PrepackedB {
+    let mut panels = PanelBuf::new(dtype);
+    let mut off = 0usize;
+    let mut bytes_packed = 0u64;
+    let blocks = blocks(k, n)
+        .map(|blk| {
+            let at = off;
+            bytes_packed += panels.pack(b, &blk, at);
+            off += packed_b_len(blk.kc, blk.nc);
+            (blk, at)
+        })
+        .collect();
+    counters::add(Counter::GemmBytesPacked, bytes_packed);
+    PrepackedB {
         k,
         n,
-        dtype,
-        data_f32: Vec::new(),
-        data_u16: Vec::new(),
-        blocks: Vec::new(),
-    };
-    let mut bytes_packed = 0u64;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let len = packed_b_len(kc, nc);
-            let off = match dtype {
-                KernelDtype::F32 => {
-                    let off = packed.data_f32.len();
-                    packed.data_f32.resize(off + len, 0.0);
-                    pack_b(&mut packed.data_f32[off..], b, pc, kc, jc, nc);
-                    off
-                }
-                _ => {
-                    let off = packed.data_u16.len();
-                    packed.data_u16.resize(off + len, 0);
-                    pack_b_u16(&mut packed.data_u16[off..], dtype, b, pc, kc, jc, nc);
-                    off
-                }
-            };
-            bytes_packed += (len * dtype.bytes()) as u64;
-            packed.blocks.push(PackedBlock {
-                jc,
-                nc,
-                pc,
-                kc,
-                off,
-            });
-        }
+        panels,
+        blocks,
     }
-    counters::add(Counter::GemmBytesPacked, bytes_packed);
-    packed
 }
 
-/// [`gemm_block`] against a [`PrepackedB`]: identical loop nest and
-/// accumulation order, but B panels come from the prepacked blocks instead
-/// of being packed in place. Returns the bytes written into A panels so
-/// callers can batch the counter update.
+/// [`gemm_block`] against a [`PrepackedB`]: the same blocks through the
+/// same [`macro_kernel`], with B panels read from the prepacked blocks.
+/// Returns the bytes written into A panels so callers can batch the
+/// counter update.
 fn gemm_prepacked(
     backend: Backend,
     a: &MatRef,
@@ -669,30 +471,10 @@ fn gemm_prepacked(
     if apack.len() < a_len {
         apack.resize(a_len, 0.0);
     }
-    let mut bytes_packed = 0u64;
-    for blk in &bp.blocks {
-        let (jc, nc, pc, kc) = (blk.jc, blk.nc, blk.pc, blk.kc);
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
-            pack_a(apack, a, i0 + ic, mc, pc, kc);
-            bytes_packed += (packed_a_len(mc, kc) * 4) as u64;
-            for jr in (0..nc).step_by(NR) {
-                let nr = NR.min(nc - jr);
-                let poff = blk.off + (jr / NR) * NR * kc;
-                let bpanel = match bp.dtype {
-                    KernelDtype::F32 => BPanel::F32(&bp.data_f32[poff..][..NR * kc]),
-                    _ => BPanel::U16(&bp.data_u16[poff..][..NR * kc], bp.dtype),
-                };
-                for ir in (0..mc).step_by(MR) {
-                    let mr = MR.min(mc - ir);
-                    let apanel = &apack[(ir / MR) * MR * kc..][..MR * kc];
-                    let off = (ic + ir) * n + jc + jr;
-                    run_tile(backend, kc, apanel, &bpanel, mr, nr, c_band, off, n);
-                }
-            }
-        }
-    }
-    bytes_packed
+    bp.blocks
+        .iter()
+        .map(|(blk, off)| macro_kernel(backend, a, i0, m, blk, &bp.panels, *off, c_band, n, apack))
+        .sum()
 }
 
 /// The three factors of `((x·U1)·Γ)·U2` as the band loop reads them.
@@ -730,17 +512,7 @@ impl Factors<'_> {
         match self {
             Factors::Packed(p) => gemm_prepacked(backend, a, i0, m, &p[s], c, apack),
             Factors::InPlace(f) => {
-                let mut no_scratch = GemmScratch::default();
-                gemm_block(
-                    backend,
-                    KernelDtype::F32,
-                    a,
-                    &f[s],
-                    i0,
-                    m,
-                    c,
-                    &mut no_scratch,
-                );
+                gemm_block(backend, KernelDtype::F32, a, &f[s], i0, m, c);
                 0
             }
         }
@@ -843,7 +615,7 @@ fn factored_driver(
     let (m, k) = (x.rows(), x.cols());
     let [r1, r2, n] = factors.widths();
     let macs = m * (k * r1 + r1 * r2 + r2 * n);
-    record_gemm_typed(
+    record_gemm(
         GemmVariant::FactoredFused,
         backend.name(),
         dtype.name(),
@@ -907,7 +679,6 @@ fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize;
 /// layout, so the source tensors may be dropped or mutated afterwards
 /// (the plan keeps computing with the values it was built from).
 pub struct FactoredPlan {
-    k: usize,
     dtype: KernelDtype,
     panels: [PrepackedB; 3],
 }
@@ -940,25 +711,9 @@ impl FactoredPlan {
             "FactoredPlan: core·U2 inner dimension mismatch"
         );
         FactoredPlan {
-            k: u1.rows(),
             dtype,
             panels: prepack_factors(dtype, u1, core, u2),
         }
-    }
-
-    /// The panel storage dtype the factors were packed at.
-    pub fn dtype(&self) -> KernelDtype {
-        self.dtype
-    }
-
-    /// Input width (`U1` rows).
-    pub fn fan_in(&self) -> usize {
-        self.k
-    }
-
-    /// Output width (`U2` columns).
-    pub fn fan_out(&self) -> usize {
-        self.panels[2].n
     }
 
     /// `y = ((x·U1)·Γ)·U2` against the prepacked panels on the active
@@ -966,7 +721,7 @@ impl FactoredPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != fan_in`.
+    /// Panics if `x.cols()` differs from `U1`'s row count.
     pub fn matmul(&self, x: &Tensor) -> Tensor {
         self.matmul_on(Backend::active(), x)
     }
@@ -975,11 +730,14 @@ impl FactoredPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != fan_in`.
+    /// Panics if `x.cols()` differs from `U1`'s row count.
     pub fn matmul_on(&self, backend: Backend, x: &Tensor) -> Tensor {
         let (m, k) = (x.rows(), x.cols());
-        assert_eq!(k, self.k, "FactoredPlan: x·U1 inner dimension mismatch");
-        let mut y = Tensor::zeros(&[m, self.fan_out()]);
+        assert_eq!(
+            k, self.panels[0].k,
+            "FactoredPlan: x·U1 inner dimension mismatch"
+        );
+        let mut y = Tensor::zeros(&[m, self.panels[2].n]);
         factored_driver(
             backend,
             self.dtype,
@@ -1193,8 +951,8 @@ mod tests {
         let mut rng = Rng64::new(22);
         let a = Tensor::randn(&[37, 29], &mut rng);
         let b = Tensor::randn(&[29, 41], &mut rng);
-        let s = matmul_on(Backend::Scalar, &a, &b);
-        let v = matmul_on(simd, &a, &b);
+        let s = gemm(Backend::Scalar, KernelDtype::F32, Trans::No, &a, &b);
+        let v = gemm(simd, KernelDtype::F32, Trans::No, &a, &b);
         let rel = s.sub(&v).unwrap().max_abs() / (1.0 + s.max_abs());
         assert!(rel <= 1e-4, "scalar vs simd rel diff {rel}");
     }
@@ -1227,7 +985,6 @@ mod tests {
             0,
             0,
             &mut c,
-            &mut GemmScratch::default(),
         );
         let mut c2 = vec![0.0f32; 8];
         gemm_block(
@@ -1238,89 +995,8 @@ mod tests {
             0,
             2,
             &mut c2,
-            &mut GemmScratch::default(),
         );
         assert!(c2.iter().all(|&v| v == 0.0), "k=0 must leave C zero");
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = Rng64::new(6);
-        let a = Tensor::randn(&[4, 6], &mut rng);
-        let x = Tensor::randn(&[6, 1], &mut rng);
-        let via_mm = matmul(&a, &x);
-        let via_mv = matvec(&a, x.data());
-        for i in 0..4 {
-            assert!((via_mm.get(&[i, 0]) - via_mv[i]).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn batched_matches_per_slice() {
-        let mut rng = Rng64::new(7);
-        let a = Tensor::randn(&[3, 4, 5], &mut rng);
-        let b = Tensor::randn(&[3, 5, 6], &mut rng);
-        let c = batched_matmul(&a, &b);
-        for bi in 0..3 {
-            let asl = Tensor::from_vec(&[4, 5], a.data()[bi * 20..(bi + 1) * 20].to_vec());
-            let bsl = Tensor::from_vec(&[5, 6], b.data()[bi * 30..(bi + 1) * 30].to_vec());
-            let csl = Tensor::from_vec(&[4, 6], c.data()[bi * 24..(bi + 1) * 24].to_vec());
-            assert!(csl.approx_eq(&matmul(&asl, &bsl), 1e-4));
-        }
-    }
-
-    #[test]
-    fn batched_threaded_path_matches() {
-        let mut rng = Rng64::new(24);
-        let a = Tensor::randn(&[48, 20, 40], &mut rng);
-        let b = Tensor::randn(&[48, 40, 30], &mut rng);
-        let c = batched_matmul(&a, &b);
-        for bi in [0usize, 17, 47] {
-            let asl = Tensor::from_vec(&[20, 40], a.data()[bi * 800..(bi + 1) * 800].to_vec());
-            let bsl = Tensor::from_vec(&[40, 30], b.data()[bi * 1200..(bi + 1) * 1200].to_vec());
-            let csl = Tensor::from_vec(&[20, 30], c.data()[bi * 600..(bi + 1) * 600].to_vec());
-            assert!(csl.approx_eq(&matmul(&asl, &bsl), 1e-4));
-        }
-    }
-
-    #[test]
-    fn matvec_threaded_path_matches_serial() {
-        // Big enough to cross PARALLEL_THRESHOLD (m·k ≥ 2^20).
-        let mut rng = Rng64::new(30);
-        let a = Tensor::randn(&[1200, 1024], &mut rng);
-        let x: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.01).sin()).collect();
-        let prev = set_thread_limit(1);
-        let one = matvec(&a, &x);
-        set_thread_limit(4);
-        let four = matvec(&a, &x);
-        set_thread_limit(prev);
-        assert_eq!(one, four, "thread count changed matvec bits");
-    }
-
-    #[test]
-    fn matvec_transb_matches_materialized_transpose() {
-        let mut rng = Rng64::new(31);
-        let a = Tensor::randn(&[17, 33], &mut rng);
-        let x: Vec<f32> = (0..17).map(|i| (i as f32 * 0.2).cos()).collect();
-        let got = matvec_transb(&a, &x);
-        let want = matvec(&a.transpose(), &x);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn matvec_transb_threaded_path_is_deterministic() {
-        let mut rng = Rng64::new(32);
-        let a = Tensor::randn(&[1024, 1200], &mut rng);
-        let x: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.013).sin()).collect();
-        let prev = set_thread_limit(1);
-        let one = matvec_transb(&a, &x);
-        set_thread_limit(3);
-        let three = matvec_transb(&a, &x);
-        set_thread_limit(prev);
-        assert_eq!(one, three, "thread count changed matvec_transb bits");
     }
 
     #[test]
@@ -1329,8 +1005,8 @@ mod tests {
         for dtype in [KernelDtype::Bf16, KernelDtype::F16] {
             let a = Tensor::randn(&[50, 70], &mut rng);
             let b = Tensor::randn(&[70, 45], &mut rng);
-            let f = matmul_on(Backend::active(), &a, &b);
-            let q = matmul_with(Backend::active(), dtype, &a, &b);
+            let f = matmul(&a, &b);
+            let q = gemm(Backend::active(), dtype, Trans::No, &a, &b);
             let tol = dtype.gemm_rel_tol() * (70f32).sqrt();
             for (x, y) in f.data().iter().zip(q.data()) {
                 assert!(
@@ -1344,20 +1020,23 @@ mod tests {
     #[test]
     fn reduced_dtype_matmul_matches_prequantized_f32_matmul() {
         // Storing B panels at bf16 must equal quantizing B up front and
-        // running the f32 engine: the kernels widen exactly.
+        // running the f32 engine: the kernels widen exactly, whichever
+        // operand is read transposed.
         let mut rng = Rng64::new(34);
+        let backend = Backend::active();
         for dtype in [KernelDtype::Bf16, KernelDtype::F16] {
-            let a = Tensor::randn(&[23, 31], &mut rng);
-            let b = Tensor::randn(&[31, 29], &mut rng);
-            let bq_data: Vec<f32> = b
-                .data()
-                .iter()
-                .map(|&v| crate::dtype::quantize(dtype, v))
-                .collect();
-            let bq = Tensor::from_vec(&[31, 29], bq_data);
-            let got = matmul_with(Backend::active(), dtype, &a, &b);
-            let want = matmul(&a, &bq);
-            assert_eq!(got, want, "{dtype:?} widening must be exact");
+            for (trans, a_dims, b_dims) in [
+                (Trans::No, [23, 31], [31, 29]),
+                (Trans::A, [31, 23], [31, 29]),
+                (Trans::B, [23, 31], [29, 31]),
+            ] {
+                let a = Tensor::randn(&a_dims, &mut rng);
+                let b = Tensor::randn(&b_dims, &mut rng);
+                let bq = b.map(|v| crate::dtype::quantize(dtype, v));
+                let got = gemm(backend, dtype, trans, &a, &b);
+                let want = gemm(backend, KernelDtype::F32, trans, &a, &bq);
+                assert_eq!(got, want, "{dtype:?} {trans:?} widening must be exact");
+            }
         }
     }
 
@@ -1373,6 +1052,7 @@ mod tests {
             (9, 64, 4, 48),
             (33, 100, 12, 77),
             (130, 300, 16, 260), // crosses KC/MC boundaries and threads
+            (7, 40, 3, NC + 5),  // two NC column blocks
         ] {
             let x = Tensor::randn(&[m, k], &mut rng);
             let u1 = Tensor::randn(&[k, r], &mut rng);
@@ -1388,22 +1068,31 @@ mod tests {
     #[test]
     fn plan_reuse_is_bit_identical_to_per_call_fused() {
         let mut rng = Rng64::new(53);
+        // Same plan, several activations — each product bit-equals the
+        // throwaway-plan entry point. The second plan has two `KC`
+        // depth blocks and two `NC` column blocks, and `m = 130` spans two
+        // `MC` chunks, so the per-call path packs B blocks into scratch
+        // while the plan reads them prepacked, both through one macro-kernel.
+        for (k, n) in [(48usize, 40usize), (KC + 20, NC + 3)] {
+            let u1 = Tensor::randn(&[k, 6], &mut rng);
+            let core = Tensor::randn(&[6, 6], &mut rng);
+            let u2 = Tensor::randn(&[6, n], &mut rng);
+            let plan = FactoredPlan::with_dtype(KernelDtype::F32, &u1, &core, &u2);
+            for m in [1usize, 7, 130] {
+                let x = Tensor::randn(&[m, k], &mut rng);
+                let want =
+                    factored_matmul_with(Backend::active(), KernelDtype::F32, &x, &u1, &core, &u2);
+                let got = plan.matmul(&x);
+                assert_eq!(got, want, "({m},{k},{n}) plan != per-call fused");
+                assert_eq!(got, unfused(&x, &u1, &core, &u2), "({m},{k},{n})");
+            }
+        }
+        // The plan owns its packed panels: mutating the source factor
+        // afterwards must not change what the plan computes.
         let u1 = Tensor::randn(&[48, 6], &mut rng);
         let mut core = Tensor::randn(&[6, 6], &mut rng);
         let u2 = Tensor::randn(&[6, 40], &mut rng);
         let plan = FactoredPlan::with_dtype(KernelDtype::F32, &u1, &core, &u2);
-        assert_eq!((plan.fan_in(), plan.fan_out()), (48, 40));
-        assert_eq!(plan.dtype(), KernelDtype::F32);
-        // Same plan, several activations — each product bit-equals the
-        // throwaway-plan entry point.
-        for m in [1usize, 7, 130] {
-            let x = Tensor::randn(&[m, 48], &mut rng);
-            let want =
-                factored_matmul_with(Backend::active(), KernelDtype::F32, &x, &u1, &core, &u2);
-            assert_eq!(plan.matmul(&x), want, "m={m} plan != per-call fused");
-        }
-        // The plan owns its packed panels: mutating the source factor
-        // afterwards must not change what the plan computes.
         let x = Tensor::randn(&[5, 48], &mut rng);
         let before = plan.matmul(&x);
         core.data_mut()[0] += 100.0;

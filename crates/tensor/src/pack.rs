@@ -12,8 +12,9 @@
 //!   last column.
 //!
 //! Transposed operands are handled here, at pack time: a [`MatRef`] carries
-//! a logical-transpose flag, so `matmul_transa` / `matmul_transb` reuse the
-//! same kernel and blocking as plain `matmul` instead of bespoke loops.
+//! a logical-transpose flag, so `gemm` with `Trans::A` or `Trans::B` reuses
+//! the same kernel and blocking as the plain product instead of bespoke
+//! loops.
 
 use crate::dtype::{encode_u16, KernelDtype};
 use crate::kernel::{MR, NR};

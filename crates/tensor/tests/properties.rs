@@ -3,9 +3,8 @@
 use lrd_tensor::dtype::KernelDtype;
 use lrd_tensor::kernel::{Backend, NR};
 use lrd_tensor::matmul::{
-    factored_matmul_with, matmul, matmul_on, matmul_transa, matmul_transa_on, matmul_transb,
-    matmul_transb_on, matmul_with, matvec, mode_n_product, set_thread_limit, FactoredPlan, KC, MC,
-    NC,
+    factored_matmul_with, gemm, matmul, matmul_transa, matmul_transb, mode_n_product,
+    set_thread_limit, FactoredPlan, Trans, KC, MC, NC,
 };
 use lrd_tensor::qr::{orthonormality_error, qr_thin};
 use lrd_tensor::rng::Rng64;
@@ -321,15 +320,23 @@ proptest! {
 
     #[test]
     fn scalar_and_simd_agree_on_adversarial_shapes(case in adversarial_shape()) {
+        // Every transpose of the one entry point: the plain product may
+        // read in place, the transposed ones always pack.
         let (m, k, n, seed) = case;
         let Some(simd) = Backend::detect_simd() else { return Ok(()) };
         let mut rng = Rng64::new(seed);
-        let a = Tensor::randn(&[m, k], &mut rng);
-        let b = Tensor::randn(&[k, n], &mut rng);
-        let s = matmul_on(Backend::Scalar, &a, &b);
-        let v = matmul_on(simd, &a, &b);
-        let rel = s.sub(&v).unwrap().max_abs() / (1.0 + s.max_abs());
-        prop_assert!(rel <= 1e-4, "({m},{k},{n}) rel diff {rel}");
+        for (trans, a_dims, b_dims) in [
+            (Trans::No, [m, k], [k, n]),
+            (Trans::A, [k, m], [k, n]),
+            (Trans::B, [m, k], [n, k]),
+        ] {
+            let a = Tensor::randn(&a_dims, &mut rng);
+            let b = Tensor::randn(&b_dims, &mut rng);
+            let s = gemm(Backend::Scalar, KernelDtype::F32, trans, &a, &b);
+            let v = gemm(simd, KernelDtype::F32, trans, &a, &b);
+            let rel = s.sub(&v).unwrap().max_abs() / (1.0 + s.max_abs());
+            prop_assert!(rel <= 1e-4, "{trans:?} ({m},{k},{n}) rel diff {rel}");
+        }
     }
 
     #[test]
@@ -338,13 +345,13 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let a = Tensor::randn(&[9, 13], &mut rng);
         let b = Tensor::randn(&[11, 13], &mut rng);
-        let s = matmul_transb_on(Backend::Scalar, &a, &b);
-        let v = matmul_transb_on(simd, &a, &b);
+        let s = gemm(Backend::Scalar, KernelDtype::F32, Trans::B, &a, &b);
+        let v = gemm(simd, KernelDtype::F32, Trans::B, &a, &b);
         let rel = s.sub(&v).unwrap().max_abs() / (1.0 + s.max_abs());
         prop_assert!(rel <= 1e-4, "transb rel diff {rel}");
         let c = Tensor::randn(&[9, 17], &mut rng);
-        let s = matmul_transa_on(Backend::Scalar, &a, &c);
-        let v = matmul_transa_on(simd, &a, &c);
+        let s = gemm(Backend::Scalar, KernelDtype::F32, Trans::A, &a, &c);
+        let v = gemm(simd, KernelDtype::F32, Trans::A, &a, &c);
         let rel = s.sub(&v).unwrap().max_abs() / (1.0 + s.max_abs());
         prop_assert!(rel <= 1e-4, "transa rel diff {rel}");
     }
@@ -371,18 +378,6 @@ proptest! {
     }
 
     #[test]
-    fn matvec_matches_single_column_matmul(seed in any::<u64>()) {
-        let mut rng = Rng64::new(seed);
-        let a = Tensor::randn(&[7, 19], &mut rng);
-        let x = Tensor::randn(&[19, 1], &mut rng);
-        let via_mm = matmul(&a, &x);
-        let via_mv = matvec(&a, x.data());
-        for (i, &v) in via_mv.iter().enumerate() {
-            prop_assert!((via_mm.get(&[i, 0]) - v).abs() <= 1e-4 * (1.0 + v.abs()));
-        }
-    }
-
-    #[test]
     fn fused_factored_is_bit_identical_to_unfused_f32(case in factored_shape()) {
         // The fused pipeline reuses the unfused loop nest's accumulation
         // order exactly, so at f32 storage the results must match to the
@@ -391,9 +386,9 @@ proptest! {
         let (shape, seed) = case;
         let backend = Backend::active();
         let (x, u1, core, u2) = factored_operands(shape, seed);
-        let h1 = matmul_with(backend, KernelDtype::F32, &x, &u1);
-        let h2 = matmul_with(backend, KernelDtype::F32, &h1, &core);
-        let unfused = matmul_with(backend, KernelDtype::F32, &h2, &u2);
+        let h1 = gemm(backend, KernelDtype::F32, Trans::No, &x, &u1);
+        let h2 = gemm(backend, KernelDtype::F32, Trans::No, &h1, &core);
+        let unfused = gemm(backend, KernelDtype::F32, Trans::No, &h2, &u2);
         let fused = factored_matmul_with(backend, KernelDtype::F32, &x, &u1, &core, &u2);
         prop_assert_eq!(&unfused, &fused, "shape {:?}", shape);
         let plan = FactoredPlan::with_dtype(KernelDtype::F32, &u1, &core, &u2);
@@ -408,9 +403,9 @@ proptest! {
         let (shape, seed) = case;
         let backend = Backend::active();
         let (x, u1, core, u2) = factored_operands(shape, seed);
-        let h1 = matmul_with(backend, KernelDtype::F32, &x, &u1);
-        let h2 = matmul_with(backend, KernelDtype::F32, &h1, &core);
-        let exact = matmul_with(backend, KernelDtype::F32, &h2, &u2);
+        let h1 = gemm(backend, KernelDtype::F32, Trans::No, &x, &u1);
+        let h2 = gemm(backend, KernelDtype::F32, Trans::No, &h1, &core);
+        let exact = gemm(backend, KernelDtype::F32, Trans::No, &h2, &u2);
         for (dtype, tol) in [(KernelDtype::Bf16, 5e-2), (KernelDtype::F16, 1e-2)] {
             let fused = factored_matmul_with(backend, dtype, &x, &u1, &core, &u2);
             let rel = exact.sub(&fused).unwrap().max_abs() / (1.0 + exact.max_abs());

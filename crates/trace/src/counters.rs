@@ -6,8 +6,8 @@
 //!   `AtomicU64` each — cheap enough for per-call accounting anywhere in
 //!   the workspace;
 //! * the GEMM matrix ([`record_gemm`]): calls and FLOPs keyed by
-//!   (variant, kernel backend), static atomics so the matmul dispatch hot
-//!   path never touches a lock.
+//!   (variant, kernel backend, panel dtype), static atomics so the matmul
+//!   dispatch hot path never touches a lock.
 //!
 //! Counters are process-global and monotone: they only ever increase, so
 //! readers take deltas (`get` before / after) rather than resetting.
@@ -212,21 +212,23 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
     ALL.iter().map(|&c| (c.name(), get(c))).collect()
 }
 
-/// GEMM entry points instrumented by `lrd-tensor::matmul`.
+/// Cells of the GEMM matrix, one per kind of product `lrd-tensor::matmul`
+/// runs. `Batched`, `Matvec` and `MatvecTransB` are recorded by no entry
+/// point, so their cells always read 0; they keep the metrics document's
+/// set of cells fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmVariant {
-    /// Plain `A · B`.
+    /// Plain `A · B` (`gemm` with `Trans::No`).
     Matmul,
-    /// `Aᵀ · B` (pack-time transposition).
+    /// `Aᵀ · B` (`gemm` with `Trans::A`; pack-time transposition).
     MatmulTransA,
-    /// `A · Bᵀ` (pack-time transposition).
+    /// `A · Bᵀ` (`gemm` with `Trans::B`; pack-time transposition).
     MatmulTransB,
-    /// Batched order-3 GEMM.
+    /// Batched order-3 GEMM. Recorded by no entry point.
     Batched,
-    /// Matrix–vector product via the dot kernel.
+    /// Matrix–vector product. Recorded by no entry point.
     Matvec,
-    /// `aᵀ · x` matrix–vector product via the axpy kernel (decode path,
-    /// no materialized transpose).
+    /// `aᵀ · x` matrix–vector product. Recorded by no entry point.
     MatvecTransB,
     /// Fused three-stage factored product `((x·U1)·Γ)·U2` through one
     /// blocked pipeline with prepacked factor panels.
@@ -317,23 +319,12 @@ fn dtype_index(dtype: &str) -> usize {
     GEMM_DTYPES.iter().position(|d| *d == dtype).unwrap_or(0)
 }
 
-/// Records one `f32`-panel GEMM call of `flops` floating-point operations
-/// on the named kernel backend. Lock-free; intended for the dispatch hot
-/// path.
+/// Records one GEMM call of `flops` floating-point operations on the
+/// named kernel backend with B panels stored at `dtype` (one of
+/// [`GEMM_DTYPES`]; unknown names land in the `f32` cell). Lock-free;
+/// intended for the dispatch hot path.
 #[inline]
-pub fn record_gemm(variant: GemmVariant, backend: &'static str, flops: u64) {
-    record_gemm_typed(variant, backend, "f32", flops);
-}
-
-/// [`record_gemm`] with an explicit packed-panel storage dtype (one of
-/// [`GEMM_DTYPES`]; unknown names land in the `f32` cell).
-#[inline]
-pub fn record_gemm_typed(
-    variant: GemmVariant,
-    backend: &'static str,
-    dtype: &'static str,
-    flops: u64,
-) {
+pub fn record_gemm(variant: GemmVariant, backend: &'static str, dtype: &'static str, flops: u64) {
     #[cfg(feature = "collect")]
     {
         let b = if backend == "scalar" {
@@ -406,8 +397,8 @@ mod tests {
             .filter(|g| g.variant == "matvec" && g.backend == "scalar")
             .map(|g| g.calls)
             .sum();
-        record_gemm(GemmVariant::Matvec, "scalar", 128);
-        record_gemm(GemmVariant::Matvec, "scalar", 64);
+        record_gemm(GemmVariant::Matvec, "scalar", "f32", 128);
+        record_gemm(GemmVariant::Matvec, "scalar", "f32", 64);
         let cell: Vec<_> = gemm_snapshot()
             .into_iter()
             .filter(|g| g.variant == "matvec" && g.backend == "scalar" && g.dtype == "f32")
@@ -423,8 +414,8 @@ mod tests {
 
     #[test]
     fn typed_cells_split_by_dtype() {
-        record_gemm_typed(GemmVariant::FactoredFused, "scalar", "bf16", 1000);
-        record_gemm_typed(GemmVariant::FactoredFused, "scalar", "f32", 500);
+        record_gemm(GemmVariant::FactoredFused, "scalar", "bf16", 1000);
+        record_gemm(GemmVariant::FactoredFused, "scalar", "f32", 500);
         let cells: Vec<_> = gemm_snapshot()
             .into_iter()
             .filter(|g| g.variant == "factored_fused" && g.backend == "scalar")

@@ -48,6 +48,12 @@ impl Json {
         Json::Num(n as f64)
     }
 
+    /// Builds a `u64` as a `"0x"`-prefixed 16-digit hex string: exact for
+    /// every value, where a JSON number (an `f64`) rounds above 2⁵³.
+    pub fn hex(n: u64) -> Json {
+        Json::Str(format!("0x{n:016x}"))
+    }
+
     /// Looks up a key of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -62,6 +68,15 @@ impl Json {
             Json::Num(n) if n.is_finite() => Some(*n),
             _ => None,
         }
+    }
+
+    /// The value as a `u64`, if it is a string in the [`Json::hex`] form.
+    pub fn as_hex(&self) -> Option<u64> {
+        let digits = self.as_str()?.strip_prefix("0x")?;
+        if digits.len() != 16 {
+            return None;
+        }
+        u64::from_str_radix(digits, 16).ok()
     }
 
     /// The value as a string, if it is one.
@@ -432,6 +447,23 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::uint(1043).render().trim(), "1043");
         assert!(Json::num(0.5).render().trim().contains("0.5"));
+    }
+
+    #[test]
+    fn hex_round_trips_values_a_number_would_round() {
+        // The FNV-1a offset basis: as an f64 it renders as …655000.
+        for v in [0, (1u64 << 53) + 1, 0xcbf2_9ce4_8422_2325, u64::MAX] {
+            let back = parse(&Json::hex(v).render()).unwrap();
+            assert_eq!(back.as_hex(), Some(v));
+        }
+        for bad in [
+            "\"12\"",
+            "\"0x12\"",
+            "\"0xcbf29ce48422232g\"",
+            "14695981039346656037",
+        ] {
+            assert_eq!(parse(bad).unwrap().as_hex(), None, "{bad}");
+        }
     }
 
     #[test]
