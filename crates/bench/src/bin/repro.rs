@@ -46,7 +46,9 @@
 //!                     nan:0.02,seed:42 (also readable from LRD_FAULTS /
 //!                     LRD_FAULTS_SEED); the serve command reads the
 //!                     serve-plane kinds nan-logits / decode-panic /
-//!                     slow-step from the same spec
+//!                     slow-step from the same spec; a run with any fault
+//!                     kind active writes BENCH_suite.chaos.json, never
+//!                     the fault-free BENCH_suite.json
 //!   --retries N       per-point retry budget for transient failures (default 2)
 //!   --deadline-s S    per-point soft deadline; overrunning points settle as
 //!                     timed out (default off)
@@ -1386,8 +1388,10 @@ fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
 
 /// Records the suite's wall clock, cache effectiveness, and per-kernel
 /// GFLOP/s for the perf trajectory (`BENCH_suite.json` at the invocation
-/// directory), and — when `--metrics` was given — the full telemetry
-/// document (spans, counters, GEMM matrix, events) via `lrd-trace`.
+/// directory, or `BENCH_suite.chaos.json` when a fault kind is active, so
+/// a chaos run never overwrites the fault-free record), and — when
+/// `--metrics` was given — the full telemetry document (spans, counters,
+/// GEMM matrix, events) via `lrd-trace`.
 fn write_bench_suite(
     args: &Args,
     wall_s: f64,
@@ -1454,12 +1458,17 @@ fn write_bench_suite(
     if let (Some(section), Json::Obj(pairs)) = (serve, &mut doc) {
         pairs.push(("serve".into(), section));
     }
-    match std::fs::write("BENCH_suite.json", doc.render()) {
+    let suite_path = if args.faults.is_active() {
+        "BENCH_suite.chaos.json"
+    } else {
+        "BENCH_suite.json"
+    };
+    match std::fs::write(suite_path, doc.render()) {
         Ok(()) => eprintln!(
-            "[repro] wrote BENCH_suite.json (wall {wall_s:.1}s, cache hit rate {:.0}%)",
+            "[repro] wrote {suite_path} (wall {wall_s:.1}s, cache hit rate {:.0}%)",
             agg.hit_rate() * 100.0
         ),
-        Err(e) => eprintln!("[repro] failed to write BENCH_suite.json: {e}"),
+        Err(e) => eprintln!("[repro] failed to write {suite_path}: {e}"),
     }
     if let Some(path) = &args.metrics {
         let run = lrd_trace::report::RunInfo {

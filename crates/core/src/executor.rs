@@ -6,10 +6,11 @@
 //! that embarrassingly parallel *and* redundant:
 //!
 //! 1. Every sweep point is independent: it clones the base model, decomposes
-//!    it, and scores it on fixed-seed benchmarks. [`run_jobs`] runs those
-//!    points across a bounded pool of scoped worker threads and writes each
-//!    result into its original index slot, so the output order (and therefore
-//!    every downstream reduction) is identical to the sequential path.
+//!    it, and scores it on fixed-seed benchmarks. [`run_jobs_isolated`] runs
+//!    those points across a bounded pool of scoped worker threads, each under
+//!    `catch_unwind`, and writes each outcome into its original index slot,
+//!    so the output order (and therefore every downstream reduction) is
+//!    identical to the sequential path.
 //! 2. Sweep points overlap heavily in the factorizations they need: the
 //!    Tucker-2 factors of a tensor slot depend only on (layer index, tensor
 //!    slot name, pruned rank) because every point starts from the same frozen
@@ -93,89 +94,6 @@ pub fn worker_budget(budget: usize, requested_workers: usize, n_jobs: usize) -> 
     }
 }
 
-/// Runs `jobs` on a pool of `workers` scoped threads and returns results in
-/// job order.
-///
-/// Jobs are claimed from a shared atomic cursor (dynamic load balancing) and
-/// each result is written to the slot matching its job index, so the returned
-/// vector is byte-identical to running the jobs sequentially. With
-/// `workers <= 1` the jobs run inline on the caller's thread. A panicking job
-/// propagates the panic to the caller when the scope joins.
-pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    lrd_trace::counters::add(lrd_trace::Counter::ExecutorJobs, n as u64);
-    // Queue wait = time from pool start until a worker claims the job;
-    // run time = the job body itself. Jobs are sweep-point granularity, so
-    // two `Instant` reads per job are noise.
-    // lrd-lint: allow(determinism, "queue-wait/run-time telemetry counters only; never reaches a result")
-    let pool_start = std::time::Instant::now();
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return jobs
-            .into_iter()
-            .map(|job| {
-                lrd_trace::counters::add(
-                    lrd_trace::Counter::ExecutorQueueWaitUs,
-                    pool_start.elapsed().as_micros() as u64,
-                );
-                // lrd-lint: allow(determinism, "run-time telemetry counter only; never reaches a result")
-                let run_start = std::time::Instant::now();
-                let out = job();
-                lrd_trace::counters::add(
-                    lrd_trace::Counter::ExecutorRunUs,
-                    run_start.elapsed().as_micros() as u64,
-                );
-                out
-            })
-            .collect();
-    }
-    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = lock_tolerant(&jobs[i])
-                    .take()
-                    // lrd-lint: allow(no-panic, "cursor fetch_add hands each index to exactly one worker; a slot is taken at most once")
-                    .expect("job claimed twice");
-                lrd_trace::counters::add(
-                    lrd_trace::Counter::ExecutorQueueWaitUs,
-                    pool_start.elapsed().as_micros() as u64,
-                );
-                // lrd-lint: allow(determinism, "run-time telemetry counter only; never reaches a result")
-                let run_start = std::time::Instant::now();
-                let out = job();
-                lrd_trace::counters::add(
-                    lrd_trace::Counter::ExecutorRunUs,
-                    run_start.elapsed().as_micros() as u64,
-                );
-                *lock_tolerant(&results[i]) = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // lrd-lint: allow(no-panic, "scope join propagates worker panics; on the surviving path every claimed job wrote its slot")
-                .expect("job did not run")
-        })
-        .collect()
-}
-
 /// How one job of [`run_jobs_isolated`] settled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome<T> {
@@ -217,18 +135,44 @@ const JOB_RUNNING: u8 = 1;
 const JOB_DONE: u8 = 2;
 const JOB_TIMED_OUT: u8 = 3;
 
-/// Fault-isolating variant of [`run_jobs`]: every job runs under
-/// `catch_unwind`, so one panicking job yields a [`JobOutcome::Panicked`]
-/// entry instead of tearing down the whole sweep, and an optional per-job
-/// *soft deadline* marks overrunning jobs [`JobOutcome::TimedOut`].
+/// Runs one claimed job under `catch_unwind` and charges the executor
+/// telemetry: queue wait from `pool_start` until the job was claimed at
+/// `start`, run time from `start` until the job body returned.
+fn run_job<T>(job: impl FnOnce() -> T, pool_start: Instant, start: Instant) -> JobOutcome<T> {
+    lrd_trace::counters::add(
+        lrd_trace::Counter::ExecutorQueueWaitUs,
+        start.duration_since(pool_start).as_micros() as u64,
+    );
+    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+        Ok(v) => JobOutcome::Done(v),
+        Err(payload) => JobOutcome::Panicked(panic_message(payload)),
+    };
+    lrd_trace::counters::add(
+        lrd_trace::Counter::ExecutorRunUs,
+        start.elapsed().as_micros() as u64,
+    );
+    outcome
+}
+
+/// Runs `jobs` on a pool of `workers` scoped threads and returns one
+/// [`JobOutcome`] per job, in job order.
+///
+/// Jobs are claimed from a shared atomic cursor (dynamic load balancing)
+/// and each outcome is written to the slot matching its job index, so the
+/// returned vector is identical to running the jobs sequentially; with
+/// `workers <= 1` and no deadline the jobs run inline on the caller's
+/// thread. Every job runs under `catch_unwind`, so one panicking job
+/// yields a [`JobOutcome::Panicked`] entry instead of tearing down the
+/// whole sweep, and an optional per-job *soft deadline* marks overrunning
+/// jobs [`JobOutcome::TimedOut`].
 ///
 /// Deadline semantics (the honest kind): safe Rust cannot kill a thread,
 /// so a job that overruns keeps its worker busy until it finishes on its
 /// own — the watchdog only settles the job's *outcome* early (its eventual
 /// result is discarded) so downstream consumers stop waiting on it
 /// logically. The pool itself still joins every worker before returning.
-/// With `deadline = None` and no panics the returned outcomes are exactly
-/// `run_jobs`'s results wrapped in [`JobOutcome::Done`], in job order.
+/// With `deadline = None` and no panics every outcome is
+/// [`JobOutcome::Done`].
 pub fn run_jobs_isolated<T, F>(
     jobs: Vec<F>,
     workers: usize,
@@ -243,17 +187,17 @@ where
         return Vec::new();
     }
     lrd_trace::counters::add(lrd_trace::Counter::ExecutorJobs, n as u64);
+    // Jobs are sweep-point granularity, so two `Instant` reads per job are
+    // noise next to the work they time.
+    // lrd-lint: allow(determinism, "queue-wait telemetry counter only; never reaches a result")
+    let pool_start = Instant::now();
     let workers = workers.clamp(1, n);
     if workers == 1 && deadline.is_none() {
         // Inline path: isolation without a pool (bit-identical scheduling).
         return jobs
             .into_iter()
-            .map(
-                |job| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
-                    Ok(v) => JobOutcome::Done(v),
-                    Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-                },
-            )
+            // lrd-lint: allow(determinism, "queue-wait/run-time telemetry counters only; never reaches a result")
+            .map(|job| run_job(job, pool_start, Instant::now()))
             .collect();
     }
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
@@ -273,13 +217,11 @@ where
                     .take()
                     // lrd-lint: allow(no-panic, "cursor fetch_add hands each index to exactly one worker; a slot is taken at most once")
                     .expect("job claimed twice");
-                // lrd-lint: allow(determinism, "watchdog clock; only active under an explicit --deadline-s, whose soft-deadline semantics are documented as wall-clock dependent")
-                *lock_tolerant(&starts[i]) = Some(Instant::now());
+                // lrd-lint: allow(determinism, "job start stamp: feeds the queue-wait/run-time telemetry counters and, under an explicit --deadline-s, the watchdog, whose soft-deadline semantics are documented as wall-clock dependent; a completed job's result never reads it")
+                let start = Instant::now();
+                *lock_tolerant(&starts[i]) = Some(start);
                 states[i].store(JOB_RUNNING, Ordering::Release);
-                let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
-                    Ok(v) => JobOutcome::Done(v),
-                    Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-                };
+                let outcome = run_job(job, pool_start, start);
                 if states[i]
                     .compare_exchange(JOB_RUNNING, JOB_DONE, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -460,17 +402,18 @@ mod tests {
     fn run_jobs_preserves_order() {
         for workers in [1, 2, 4, 9] {
             let jobs: Vec<_> = (0..23usize).map(|i| move || i * i).collect();
-            let out = run_jobs(jobs, workers);
-            assert_eq!(out, (0..23usize).map(|i| i * i).collect::<Vec<_>>());
+            let out = run_jobs_isolated(jobs, workers, None);
+            let expected: Vec<_> = (0..23usize).map(|i| JobOutcome::Done(i * i)).collect();
+            assert_eq!(out, expected, "workers={workers}");
         }
     }
 
     #[test]
     fn run_jobs_empty_and_oversized_pool() {
-        let out: Vec<usize> = run_jobs(Vec::<fn() -> usize>::new(), 8);
+        let out: Vec<JobOutcome<usize>> = run_jobs_isolated(Vec::<fn() -> usize>::new(), 8, None);
         assert!(out.is_empty());
-        let out = run_jobs(vec![|| 7usize], 64);
-        assert_eq!(out, vec![7]);
+        let out = run_jobs_isolated(vec![|| 7usize], 64, None);
+        assert_eq!(out, vec![JobOutcome::Done(7)]);
     }
 
     #[test]
@@ -546,11 +489,15 @@ mod tests {
 
     #[test]
     fn isolated_pool_matches_run_jobs_when_quiet() {
-        let jobs: Vec<_> = (0..17usize).map(|i| move || i * 3 + 1).collect();
-        let out = run_jobs_isolated(jobs, 4, None);
+        // A pool that never panics or overruns reports every job `Done` in
+        // job order, whether or not a (never-firing) watchdog is armed.
         let expected: Vec<JobOutcome<usize>> =
             (0..17usize).map(|i| JobOutcome::Done(i * 3 + 1)).collect();
-        assert_eq!(out, expected);
+        for deadline in [None, Some(Duration::from_secs(60))] {
+            let jobs: Vec<_> = (0..17usize).map(|i| move || i * 3 + 1).collect();
+            let out = run_jobs_isolated(jobs, 4, deadline);
+            assert_eq!(out, expected, "deadline={deadline:?}");
+        }
     }
 
     #[test]
@@ -634,7 +581,7 @@ mod tests {
         let cache = DecompositionCache::new();
         let w = Tensor::from_vec(&[8, 8], (0..64).map(|v| ((v % 17) as f32).sin()).collect());
         let computed = AtomicUsize::new(0);
-        let factors: Vec<Arc<CachedFactor>> = run_jobs(
+        let factors: Vec<Arc<CachedFactor>> = run_jobs_isolated(
             (0..12)
                 .map(|_| {
                     let cache = &cache;
@@ -656,7 +603,11 @@ mod tests {
                 })
                 .collect(),
             4,
-        );
+            None,
+        )
+        .into_iter()
+        .map(|outcome| outcome.into_done().expect("lookup job completed"))
+        .collect();
         assert_eq!(computed.load(Ordering::Relaxed), 1);
         let first = &factors[0];
         for f in &factors[1..] {

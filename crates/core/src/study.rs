@@ -427,36 +427,28 @@ impl<'a> StudyExecutor<'a> {
                 }
                 point
             };
-            let outcomes: Vec<JobOutcome<StudyPoint>> =
-                if budget.workers == 1 && self.deadline.is_none() {
-                    // Inline path: eval_point already isolates panics, so
-                    // run the jobs on the caller's thread.
-                    pending
-                        .iter()
-                        .map(|(i, (label, cfg))| {
-                            JobOutcome::Done(run_one(label, cfg, keys[*i], &self.opts))
-                        })
-                        .collect()
-                } else {
-                    let inner = EvalOptions {
-                        threads: budget.eval_threads,
-                        ..self.opts
-                    };
-                    let _guard = ThreadLimitGuard(lrd_tensor::matmul::set_thread_limit(1));
-                    let keys = &keys;
-                    run_jobs_isolated(
-                        pending
-                            .iter()
-                            .map(|(i, (label, cfg))| {
-                                let run_one = &run_one;
-                                let inner = &inner;
-                                move || run_one(label, cfg, keys[*i], inner)
-                            })
-                            .collect(),
-                        budget.workers,
-                        self.deadline,
-                    )
-                };
+            // A pool splits the thread budget and pins nested GEMM to one
+            // thread; a single worker (run inline unless a deadline needs
+            // the watchdog) keeps the caller's options and GEMM threading.
+            let inner = EvalOptions {
+                threads: budget.eval_threads,
+                ..self.opts
+            };
+            let (opts, _guard) = if budget.workers > 1 {
+                let limit = lrd_tensor::matmul::set_thread_limit(1);
+                (&inner, Some(ThreadLimitGuard(limit)))
+            } else {
+                (&self.opts, None)
+            };
+            let (keys, run_one) = (&keys, &run_one);
+            let outcomes = run_jobs_isolated(
+                pending
+                    .iter()
+                    .map(|(i, (label, cfg))| move || run_one(label, cfg, keys[*i], opts))
+                    .collect(),
+                budget.workers,
+                self.deadline,
+            );
             for ((i, (label, cfg)), outcome) in pending.into_iter().zip(outcomes) {
                 slots[i] = Some(match outcome {
                     JobOutcome::Done(point) => point,

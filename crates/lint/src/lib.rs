@@ -20,7 +20,6 @@
 //! | `determinism-taint` | no entry point reaches `HashMap`/`HashSet` iteration or `RandomState` through any call chain |
 //! | `schema-const` | schema strings are single-sourced `const`s, never re-typed |
 //! | `schema-field-parity` | every JSON field a writer emits is validated by `metrics_check`; versions are const-sourced |
-//! | `panic-fence` | panics reachable from executor jobs sit behind a `catch_unwind` fence |
 //! | `suppression-hygiene` | every suppression is well-formed, known, and used |
 //!
 //! Findings carry stable IDs (`FNV-1a` over lint + file + digit-masked

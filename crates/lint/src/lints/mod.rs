@@ -12,7 +12,6 @@ mod determinism;
 mod determinism_taint;
 mod no_panic;
 mod no_print;
-mod panic_fence;
 mod safety_comment;
 mod schema_const;
 mod schema_field_parity;
@@ -25,7 +24,6 @@ pub use determinism::Determinism;
 pub use determinism_taint::DeterminismTaint;
 pub use no_panic::NoPanic;
 pub use no_print::NoPrint;
-pub use panic_fence::PanicFence;
 pub use safety_comment::SafetyComment;
 pub use schema_const::SchemaConst;
 pub use schema_field_parity::SchemaFieldParity;
@@ -51,7 +49,6 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(DeterminismTaint),
         Box::new(SchemaConst),
         Box::new(SchemaFieldParity),
-        Box::new(PanicFence),
     ]
 }
 

@@ -121,15 +121,6 @@ pub struct ParsedFile {
     pub uses: Vec<UseItem>,
 }
 
-impl ParsedFile {
-    /// The function whose body contains code-token index `tok`, if any.
-    pub fn fn_containing(&self, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .position(|f| f.body.is_some_and(|(s, e)| tok >= s && tok < e))
-    }
-}
-
 /// Keywords that look like calls when followed by `(`.
 const NON_CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "loop", "in", "move", "fn", "as", "let", "else",
@@ -601,9 +592,11 @@ mod tests {
 
     #[test]
     fn closures_inside_call_args_contribute_call_refs() {
-        let p = parse("fn sweep() { run_jobs((0..3).map(|i| move || work(i)).collect(), 2); }\n");
+        let p = parse(
+            "fn sweep() { run_jobs_isolated((0..3).map(|i| move || work(i)).collect(), 2, None); }\n",
+        );
         let names: Vec<&str> = p.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
-        assert!(names.contains(&"run_jobs"));
+        assert!(names.contains(&"run_jobs_isolated"));
         assert!(names.contains(&"work"));
     }
 

@@ -84,11 +84,6 @@ impl SymbolTable {
         (file, &file.items.fns[ii])
     }
 
-    /// Global index of the fn item `(fi, ii)`, if present.
-    pub fn index_of(&self, id: FnId) -> Option<usize> {
-        self.fns.iter().position(|&x| x == id)
-    }
-
     /// Candidate definitions a call from `caller_file` (inside the fn with
     /// qualified name `caller_qual`) may land on. Over-approximate; empty
     /// for std/vendor calls.

@@ -10,7 +10,7 @@ use lrd_lint::{run, Workspace};
 use std::path::Path;
 
 /// Every lint with a fixture pair, by registry name.
-const LINTS: [&str; 10] = [
+const LINTS: [&str; 9] = [
     "no-panic",
     "safety-comment",
     "no-print",
@@ -19,7 +19,6 @@ const LINTS: [&str; 10] = [
     "determinism-taint",
     "schema-const",
     "schema-field-parity",
-    "panic-fence",
     "suppression-hygiene",
 ];
 
@@ -36,7 +35,6 @@ fn rel_path(lint: &str) -> &'static str {
         "safety-comment" => "crates/tensor/src/fixture.rs",
         "counter-hygiene-v2" => "crates/trace/src/counters.rs",
         "schema-field-parity" => "crates/core/src/journal.rs",
-        "panic-fence" => "crates/bench/src/bin/fixture.rs",
         _ => "crates/core/src/fixture.rs",
     }
 }

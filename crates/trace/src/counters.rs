@@ -60,7 +60,7 @@ pub enum Counter {
     JournalRecordsMerged,
     /// Sweep points skipped because another shard owns them.
     SweepPointsShardSkipped,
-    /// Jobs submitted to `run_jobs` worker pools.
+    /// Jobs submitted to `run_jobs_isolated`, inline or pooled.
     ExecutorJobs,
     /// Total µs jobs spent queued before a worker claimed them.
     ExecutorQueueWaitUs,

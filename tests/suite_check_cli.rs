@@ -3,7 +3,9 @@
 //! sessions passes (exit 0); a variant whose batched run completed no
 //! session fails (exit 1), because its bit-identity verdict compares two
 //! empty streams; and a checksum written as a JSON number, which rounds
-//! above 2⁵³, fails (exit 1).
+//! above 2⁵³, fails (exit 1). A `repro` run with fault injection active
+//! writes its suite to `BENCH_suite.chaos.json` and leaves the fault-free
+//! `BENCH_suite.json` alone.
 
 use lrd_serve::ServeReport;
 use lrd_trace::json::Json;
@@ -131,4 +133,20 @@ fn numeric_stream_checksum_exits_1() {
     let out = check("numeric", &text.replacen(hex, "14695981039346656037", 1));
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("stream_checksum"));
+}
+
+#[test]
+fn chaos_run_writes_its_own_suite_file() {
+    let cwd = std::env::temp_dir().join(format!("lrd-chaos-suite-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table2", "--faults", "svd:0.5,seed:1"])
+        .current_dir(&cwd)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(cwd.join("BENCH_suite.chaos.json").is_file());
+    assert!(!cwd.join("BENCH_suite.json").exists());
+    let _ = std::fs::remove_dir_all(&cwd);
 }
