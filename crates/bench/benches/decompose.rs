@@ -1,6 +1,7 @@
 //! Whole-model decomposition throughput: how long it takes to factor a
-//! trained model at the paper's operating points, plus the simulated
-//! efficiency sweep itself.
+//! trained model at the paper's operating points, the per-call cost of
+//! the Jacobi SVD at the served tiny-Llama's weight shapes, plus the
+//! simulated efficiency sweep itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lrd_core::decompose::decompose_model;
@@ -10,6 +11,8 @@ use lrd_hwsim::device::SystemSpec;
 use lrd_models::zoo::llama2_7b;
 use lrd_nn::{ArchKind, TransformerConfig, TransformerLm};
 use lrd_tensor::rng::Rng64;
+use lrd_tensor::svd::svd_jacobi;
+use lrd_tensor::Tensor;
 use std::hint::black_box;
 
 fn model() -> TransformerLm {
@@ -46,6 +49,20 @@ fn bench_decompose_model(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `svd_jacobi` call at each weight shape the served tiny-Llama
+/// decomposes: attention 40×40, MLP gate/up 112×40 and down 40×112.
+fn bench_svd_jacobi(c: &mut Criterion) {
+    let mut rng = Rng64::new(17);
+    let mut group = c.benchmark_group("svd_jacobi");
+    for (m, n) in [(40, 40), (112, 40), (40, 112)] {
+        let a = Tensor::randn(&[m, n], &mut rng).scale(0.05);
+        group.bench_function(format!("{m}x{n}"), |b| {
+            b.iter(|| svd_jacobi(black_box(&a)).unwrap());
+        });
+    }
+    group.finish();
+}
+
 fn bench_efficiency_sweep(c: &mut Criterion) {
     let sys = SystemSpec::quad_a100();
     let desc = llama2_7b();
@@ -54,5 +71,10 @@ fn bench_efficiency_sweep(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_decompose_model, bench_efficiency_sweep);
+criterion_group!(
+    benches,
+    bench_decompose_model,
+    bench_svd_jacobi,
+    bench_efficiency_sweep
+);
 criterion_main!(benches);

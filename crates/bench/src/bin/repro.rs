@@ -48,7 +48,9 @@
 //!                     serve-plane kinds nan-logits / decode-panic /
 //!                     slow-step from the same spec; a run with any fault
 //!                     kind active writes BENCH_suite.chaos.json, never
-//!                     the fault-free BENCH_suite.json
+//!                     the fault-free BENCH_suite.json, and a serve run
+//!                     with a serve-plane kind writes serve.chaos.csv,
+//!                     never the fault-free serve.csv
 //!   --retries N       per-point retry budget for transient failures (default 2)
 //!   --deadline-s S    per-point soft deadline; overrunning points settle as
 //!                     timed out (default off)
@@ -986,7 +988,13 @@ fn cmd_serve(args: &Args) -> lrd_trace::json::Json {
         ]));
     }
     print!("{}", render_table(&headers, &rows));
-    write_csv("serve.csv", &headers, &rows);
+    // Like the suite file: a chaos run never replaces the fault-free table.
+    let csv = if chaos {
+        "serve.chaos.csv"
+    } else {
+        "serve.csv"
+    };
+    write_csv(csv, &headers, &rows);
     Json::obj([
         ("sessions", Json::uint(args.sessions as u64)),
         ("trace_seed", Json::uint(TRACE_SEED)),

@@ -883,6 +883,22 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_line_is_an_error_not_an_abort() {
+        // A valid record whose `results` nest past the parser's depth
+        // limit: rejected as a defect, like a torn line.
+        let line = JournalRecord::from_point("fig9", 7, &sample_point())
+            .to_line()
+            .replacen(
+                "\"results\":[",
+                &format!("\"results\":{}", "[".repeat(json::MAX_DEPTH + 1)),
+                1,
+            );
+        let err = JournalRecord::parse_line(&line).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(JournalRecord::parse_line(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
     fn journal_appends_and_resumes_with_torn_final_line() {
         let path = temp_file("torn");
         let journal = Journal::create(&path).unwrap();

@@ -92,6 +92,16 @@ const JACOBI_EPS: f64 = 1e-12;
 /// Accurate to near machine precision for well-conditioned inputs; intended
 /// for matrices up to a few hundred rows/columns.
 ///
+/// The work matrix and `v` are stored column-major, so every Gram dot
+/// product and every rotation runs at unit stride. Each pair's Gram
+/// entries come from one fused pass, and two exact memos skip work whose
+/// result is already known: a column's squared norm is reused until the
+/// column is rotated, and a pair found settled is not revisited while
+/// neither of its columns has been rotated since. Neither memo changes the
+/// arithmetic — the same inputs always give the same bits — so the
+/// factors equal the plain cyclic sweep's bit for bit (DESIGN.md, "Jacobi
+/// SVD engine").
+///
 /// # Errors
 ///
 /// Returns [`TensorError::NotConverged`] if the sweep budget is exhausted
@@ -111,23 +121,59 @@ pub fn svd_jacobi(a: &Tensor) -> Result<Svd, TensorError> {
             vt: t.u.transpose(),
         });
     }
-    // Count only the executing orientation (the m<n wrapper above recurses).
+    let (work, v) = jacobi_sweeps(a)?;
+
+    // Singular values = column norms; left vectors = normalized columns.
+    let col = |j: usize| &work[j * m..(j + 1) * m];
+    let mut triples: Vec<(f64, usize)> = (0..n)
+        .map(|j| (col(j).iter().map(|x| x * x).sum::<f64>().sqrt(), j))
+        .collect();
+    triples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+
+    let mut u = Tensor::zeros(&[m, n]);
+    let mut s_out = Vec::with_capacity(n);
+    let mut vt = Tensor::zeros(&[n, n]);
+    for (out_j, &(sigma, j)) in triples.iter().enumerate() {
+        s_out.push(sigma as f32);
+        if sigma > 0.0 {
+            for (row, &x) in u.data_mut().chunks_exact_mut(n).zip(col(j)) {
+                row[out_j] = (x / sigma) as f32;
+            }
+        }
+        for (out, &x) in vt.row_mut(out_j).iter_mut().zip(&v[j * n..(j + 1) * n]) {
+            *out = x as f32;
+        }
+    }
+    Ok(Svd { u, s: s_out, vt })
+}
+
+/// The sweep phase of [`svd_jacobi`] for an `m × n` input with `m ≥ n`:
+/// returns the rotated columns (`m × n`) and the accumulated right
+/// rotations (`n × n`), both column-major (column `j` of an `r`-row
+/// matrix at `[j*r..(j+1)*r]`).
+fn jacobi_sweeps(a: &Tensor) -> Result<(Vec<f64>, Vec<f64>), TensorError> {
+    let (m, n) = (a.rows(), a.cols());
+    // Count only the executing orientation (svd_jacobi's m<n wrapper
+    // recurses).
     lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiCalls, 1);
     // Columns of `work` are rotated until mutually orthogonal.
-    let mut work: Vec<f64> = a.data().iter().map(|&x| x as f64).collect();
-    // Accumulate right rotations into v (n×n).
+    let mut work = vec![0.0f64; m * n];
+    for (i, row) in a.data().chunks_exact(n).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            work[j * m + i] = x as f64;
+        }
+    }
+    // Accumulate right rotations into v.
     let mut v = vec![0.0f64; n * n];
     for i in 0..n {
         v[i * n + i] = 1.0;
     }
-
-    let col_dot = |w: &[f64], p: usize, q: usize| -> f64 {
-        let mut acc = 0.0;
-        for i in 0..m {
-            acc += w[i * n + p] * w[i * n + q];
-        }
-        acc
-    };
+    // Squared norm of each column, valid until the column is rotated.
+    let mut norm2: Vec<Option<f64>> = vec![None; n];
+    // Rotations applied to each column so far, and for each pair (p, q)
+    // the two counts it was last found settled at.
+    let mut rotations = vec![0usize; n];
+    let mut settled: Vec<Option<(usize, usize)>> = vec![None; n * n];
 
     let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
@@ -135,10 +181,18 @@ pub fn svd_jacobi(a: &Tensor) -> Result<Svd, TensorError> {
         let mut off = 0.0f64;
         for p in 0..n {
             for q in (p + 1)..n {
-                let app = col_dot(&work, p, p);
-                let aqq = col_dot(&work, q, q);
-                let apq = col_dot(&work, p, q);
+                if settled[p * n + q] == Some((rotations[p], rotations[q])) {
+                    continue;
+                }
+                let (wp, wq) = (&work[p * m..(p + 1) * m], &work[q * m..(q + 1) * m]);
+                let (app, aqq, apq) = match (norm2[p], norm2[q]) {
+                    (Some(app), Some(aqq)) => (app, aqq, dot(wp, wq)),
+                    _ => gram(wp, wq),
+                };
                 if apq.abs() <= JACOBI_EPS * (app * aqq).sqrt().max(f64::MIN_POSITIVE) {
+                    norm2[p] = Some(app);
+                    norm2[q] = Some(aqq);
+                    settled[p * n + q] = Some((rotations[p], rotations[q]));
                     continue;
                 }
                 off = off.max(apq.abs() / (app * aqq).sqrt().max(f64::MIN_POSITIVE));
@@ -152,18 +206,14 @@ pub fn svd_jacobi(a: &Tensor) -> Result<Svd, TensorError> {
                 };
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for i in 0..m {
-                    let wp = work[i * n + p];
-                    let wq = work[i * n + q];
-                    work[i * n + p] = c * wp - s * wq;
-                    work[i * n + q] = s * wp + c * wq;
-                }
-                for i in 0..n {
-                    let vp = v[i * n + p];
-                    let vq = v[i * n + q];
-                    v[i * n + p] = c * vp - s * vq;
-                    v[i * n + q] = s * vp + c * vq;
-                }
+                let (lo, hi) = work.split_at_mut(q * m);
+                rotate(&mut lo[p * m..(p + 1) * m], &mut hi[..m], c, s);
+                let (lo, hi) = v.split_at_mut(q * n);
+                rotate(&mut lo[p * n..(p + 1) * n], &mut hi[..n], c, s);
+                rotations[p] += 1;
+                rotations[q] += 1;
+                norm2[p] = None;
+                norm2[q] = None;
             }
         }
         if off < 1e-10 {
@@ -177,34 +227,40 @@ pub fn svd_jacobi(a: &Tensor) -> Result<Svd, TensorError> {
             iterations: MAX_SWEEPS,
         });
     }
+    Ok((work, v))
+}
 
-    // Singular values = column norms; left vectors = normalized columns.
-    let mut triples: Vec<(f64, usize)> = (0..n)
-        .map(|j| {
-            let norm = (0..m)
-                .map(|i| work[i * n + j] * work[i * n + j])
-                .sum::<f64>()
-                .sqrt();
-            (norm, j)
-        })
-        .collect();
-    triples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-
-    let mut u = Tensor::zeros(&[m, n]);
-    let mut s_out = Vec::with_capacity(n);
-    let mut vt = Tensor::zeros(&[n, n]);
-    for (out_j, &(sigma, j)) in triples.iter().enumerate() {
-        s_out.push(sigma as f32);
-        if sigma > 0.0 {
-            for i in 0..m {
-                u.set(&[i, out_j], (work[i * n + j] / sigma) as f32);
-            }
-        }
-        for i in 0..n {
-            vt.set(&[out_j, i], v[i * n + j] as f32);
-        }
+/// `Σ x_i·y_i` accumulated in index order from `0.0`: the one summation
+/// order every Gram entry uses, so recomputing an entry over unchanged
+/// columns reproduces it bit for bit.
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (a, b) in x.iter().zip(y) {
+        acc += a * b;
     }
-    Ok(Svd { u, s: s_out, vt })
+    acc
+}
+
+/// `(x·x, y·y, x·y)` in one pass: three independent chains, each with
+/// [`dot`]'s operation order, so each equals its own [`dot`] call.
+fn gram(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
+    let (mut xx, mut yy, mut xy) = (0.0, 0.0, 0.0);
+    for (a, b) in x.iter().zip(y) {
+        xx += a * a;
+        yy += b * b;
+        xy += a * b;
+    }
+    (xx, yy, xy)
+}
+
+/// Applies the plane rotation `(xp, xq) ← (c·xp − s·xq, s·xp + c·xq)`
+/// element-wise to two columns.
+fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
+    for (a, b) in xp.iter_mut().zip(xq) {
+        let (wp, wq) = (*a, *b);
+        *a = c * wp - s * wq;
+        *b = s * wp + c * wq;
+    }
 }
 
 /// Size threshold below which [`truncated_svd`] uses the Jacobi engine
@@ -347,6 +403,241 @@ pub fn matrix_with_spectrum(m: usize, n: usize, spectrum: &[f32], rng: &mut Rng6
 mod tests {
     use super::*;
     use crate::qr::orthonormality_error;
+
+    // The row-major engine that [`svd_jacobi`] replaced, kept verbatim as
+    // the bit-equality oracle for its column-major, memoised rewrite. It is
+    // split only where the sweeps end, so tests compare the f64 state
+    // before the f32 rounding of the factors can hide a difference.
+
+    /// The reference sweeps for `m ≥ n`: `work` (`m × n`) and `v`
+    /// (`n × n`), both row-major.
+    fn reference_sweeps(a: &Tensor) -> Result<(Vec<f64>, Vec<f64>), TensorError> {
+        let (m, n) = (a.rows(), a.cols());
+        lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiCalls, 1);
+        // Columns of `work` are rotated until mutually orthogonal.
+        let mut work: Vec<f64> = a.data().iter().map(|&x| x as f64).collect();
+        // Accumulate right rotations into v (n×n).
+        let mut v = vec![0.0f64; n * n];
+        for i in 0..n {
+            v[i * n + i] = 1.0;
+        }
+
+        let col_dot = |w: &[f64], p: usize, q: usize| -> f64 {
+            let mut acc = 0.0;
+            for i in 0..m {
+                acc += w[i * n + p] * w[i * n + q];
+            }
+            acc
+        };
+
+        let mut converged = false;
+        for _sweep in 0..MAX_SWEEPS {
+            lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiSweeps, 1);
+            let mut off = 0.0f64;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let app = col_dot(&work, p, p);
+                    let aqq = col_dot(&work, q, q);
+                    let apq = col_dot(&work, p, q);
+                    if apq.abs() <= JACOBI_EPS * (app * aqq).sqrt().max(f64::MIN_POSITIVE) {
+                        continue;
+                    }
+                    off = off.max(apq.abs() / (app * aqq).sqrt().max(f64::MIN_POSITIVE));
+                    // Jacobi rotation zeroing the (p,q) entry of the implicit
+                    // Gram matrix.
+                    let tau = (aqq - app) / (2.0 * apq);
+                    let t = if tau >= 0.0 {
+                        1.0 / (tau + (1.0 + tau * tau).sqrt())
+                    } else {
+                        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = c * t;
+                    for i in 0..m {
+                        let wp = work[i * n + p];
+                        let wq = work[i * n + q];
+                        work[i * n + p] = c * wp - s * wq;
+                        work[i * n + q] = s * wp + c * wq;
+                    }
+                    for i in 0..n {
+                        let vp = v[i * n + p];
+                        let vq = v[i * n + q];
+                        v[i * n + p] = c * vp - s * vq;
+                        v[i * n + q] = s * vp + c * vq;
+                    }
+                }
+            }
+            if off < 1e-10 {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            return Err(TensorError::NotConverged {
+                algorithm: "jacobi-svd",
+                iterations: MAX_SWEEPS,
+            });
+        }
+        Ok((work, v))
+    }
+
+    /// The reference engine: [`reference_sweeps`] and its finalisation.
+    fn svd_jacobi_reference(a: &Tensor) -> Result<Svd, TensorError> {
+        let (m, n) = (a.rows(), a.cols());
+        if m < n {
+            // Work on the transpose and swap factors.
+            let t = svd_jacobi_reference(&a.transpose())?;
+            return Ok(Svd {
+                u: t.vt.transpose(),
+                s: t.s,
+                vt: t.u.transpose(),
+            });
+        }
+        let (work, v) = reference_sweeps(a)?;
+
+        // Singular values = column norms; left vectors = normalized columns.
+        let mut triples: Vec<(f64, usize)> = (0..n)
+            .map(|j| {
+                let norm = (0..m)
+                    .map(|i| work[i * n + j] * work[i * n + j])
+                    .sum::<f64>()
+                    .sqrt();
+                (norm, j)
+            })
+            .collect();
+        triples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+
+        let mut u = Tensor::zeros(&[m, n]);
+        let mut s_out = Vec::with_capacity(n);
+        let mut vt = Tensor::zeros(&[n, n]);
+        for (out_j, &(sigma, j)) in triples.iter().enumerate() {
+            s_out.push(sigma as f32);
+            if sigma > 0.0 {
+                for i in 0..m {
+                    u.set(&[i, out_j], (work[i * n + j] / sigma) as f32);
+                }
+            }
+            for i in 0..n {
+                vt.set(&[out_j, i], v[i * n + j] as f32);
+            }
+        }
+        Ok(Svd { u, s: s_out, vt })
+    }
+
+    /// Asserts `svd_jacobi(a)` equals the reference engine bit for bit:
+    /// the f64 sweep state (`work` and `v`, layouts aside), then every
+    /// `u`, `s` and `vt` element, or the same error.
+    fn assert_matches_reference(a: &Tensor) {
+        let dims = a.dims().to_vec();
+        let tall = if a.rows() < a.cols() {
+            a.transpose()
+        } else {
+            a.clone()
+        };
+        match (jacobi_sweeps(&tall), reference_sweeps(&tall)) {
+            (Ok((work, v)), Ok((ref_work, ref_v))) => {
+                let (m, n) = (tall.rows(), tall.cols());
+                // Column-major `[j*r + i]` against row-major `[i*c + j]`.
+                let row_major = |x: &[f64], r: usize, c: usize| -> Vec<u64> {
+                    (0..r * c)
+                        .map(|k| x[(k % c) * r + k / c].to_bits())
+                        .collect()
+                };
+                let bits = |x: &[f64]| x.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    row_major(&work, m, n),
+                    bits(&ref_work),
+                    "work, input {dims:?}"
+                );
+                assert_eq!(row_major(&v, n, n), bits(&ref_v), "v, input {dims:?}");
+            }
+            (got, want) => assert_eq!(got.err(), want.err(), "input {dims:?}"),
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (svd_jacobi(a), svd_jacobi_reference(a)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.u.dims(), want.u.dims(), "u shape, input {dims:?}");
+                assert_eq!(got.vt.dims(), want.vt.dims(), "vt shape, input {dims:?}");
+                assert_eq!(bits(&got.u), bits(&want.u), "u bits, input {dims:?}");
+                let s_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(s_bits(&got.s), s_bits(&want.s), "s bits, input {dims:?}");
+                assert_eq!(bits(&got.vt), bits(&want.vt), "vt bits, input {dims:?}");
+            }
+            (got, want) => assert_eq!(got.err(), want.err(), "input {dims:?}"),
+        }
+    }
+
+    #[test]
+    fn jacobi_is_bit_equal_to_reference_on_structured_inputs() {
+        let mut rng = Rng64::new(31);
+        // m<n, m=n, m>n, and the degenerate single row / single column.
+        for (m, n) in [(5, 13), (10, 10), (13, 5), (1, 9), (9, 1), (1, 1)] {
+            assert_matches_reference(&Tensor::randn(&[m, n], &mut rng));
+        }
+        assert_matches_reference(&Tensor::zeros(&[6, 4]));
+        assert_matches_reference(&Tensor::zeros(&[3, 7]));
+        // Zero columns and duplicate columns: pairs that settle at once
+        // and stay settled, which is what the pair memo skips.
+        let mut a = Tensor::randn(&[12, 8], &mut rng);
+        for i in 0..12 {
+            a.set(&[i, 2], 0.0);
+            a.set(&[i, 5], 0.0);
+            a.set(&[i, 6], a.get(&[i, 1]));
+            a.set(&[i, 7], a.get(&[i, 1]));
+        }
+        assert_matches_reference(&a);
+        assert_matches_reference(&a.transpose());
+        // Columns 0 and 1 have disjoint supports, so their pair settles in
+        // the first sweep; rotations against the dense columns then
+        // unsettle it, and it must be evaluated again.
+        let mut b = Tensor::randn(&[10, 6], &mut rng);
+        for i in 0..10 {
+            b.set(&[i, usize::from(i < 5)], 0.0);
+        }
+        assert_matches_reference(&b);
+        // Rank-deficient: three nonzero singular values out of 16.
+        let low = matrix_with_spectrum(20, 16, &[9.0, 3.0, 1.0], &mut rng);
+        assert_matches_reference(&low);
+        assert_matches_reference(&low.transpose());
+        assert_matches_reference(&Tensor::eye(7));
+    }
+
+    #[test]
+    fn jacobi_is_bit_equal_to_reference_at_served_shapes() {
+        // The shapes the served tiny-Llama decomposes: attention 40×40,
+        // MLP gate/up 112×40 and down 40×112.
+        let mut rng = Rng64::new(32);
+        for (m, n) in [(40, 40), (112, 40), (40, 112)] {
+            assert_matches_reference(&Tensor::randn(&[m, n], &mut rng).scale(0.05));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn jacobi_is_bit_equal_to_reference(
+            m in 1usize..24,
+            n in 1usize..24,
+            seed in proptest::prelude::any::<u64>(),
+            structure in 0u64..4,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let mut a = Tensor::randn(&[m, n], &mut rng);
+            // 0: plain; 1: a zero column; 2: a duplicated column; 3: rank 1.
+            match structure {
+                1 => (0..m).for_each(|i| a.set(&[i, n / 2], 0.0)),
+                2 => (0..m).for_each(|i| a.set(&[i, n - 1], a.get(&[i, 0]))),
+                3 => {
+                    let r = Tensor::randn(&[m, 1], &mut rng);
+                    let c = Tensor::randn(&[1, n], &mut rng);
+                    a = matmul(&r, &c);
+                }
+                _ => {}
+            }
+            assert_matches_reference(&a);
+        }
+    }
 
     #[test]
     fn jacobi_reconstructs_exactly() {

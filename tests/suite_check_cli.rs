@@ -5,7 +5,8 @@
 //! empty streams; and a checksum written as a JSON number, which rounds
 //! above 2⁵³, fails (exit 1). A `repro` run with fault injection active
 //! writes its suite to `BENCH_suite.chaos.json` and leaves the fault-free
-//! `BENCH_suite.json` alone.
+//! `BENCH_suite.json` alone; a chaos `repro serve` run likewise writes
+//! `artifacts/serve.chaos.csv` and leaves the fault-free `serve.csv` alone.
 
 use lrd_serve::ServeReport;
 use lrd_trace::json::Json;
@@ -148,5 +149,30 @@ fn chaos_run_writes_its_own_suite_file() {
     assert!(out.status.success(), "{out:?}");
     assert!(cwd.join("BENCH_suite.chaos.json").is_file());
     assert!(!cwd.join("BENCH_suite.json").exists());
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn chaos_serve_run_writes_its_own_serving_table() {
+    let cwd = std::env::temp_dir().join(format!("lrd-chaos-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    // `--steps 2` trains (and caches under `cwd/artifacts/`) a two-step
+    // model in about a second instead of needing the 600-step checkpoint;
+    // the fault spec is CI's serve-chaos one.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--fast", "--steps", "2", "--sessions", "8"])
+        .args([
+            "--faults",
+            "nan-logits:0.1,decode-panic:0.05,slow-step:0.1,seed:42",
+        ])
+        .current_dir(&cwd)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let artifacts = cwd.join("artifacts");
+    assert!(artifacts.join("serve.chaos.csv").is_file());
+    assert!(!artifacts.join("serve.csv").exists());
+    assert!(cwd.join("BENCH_suite.chaos.json").is_file());
     let _ = std::fs::remove_dir_all(&cwd);
 }
