@@ -77,8 +77,8 @@ fn bench_backward(c: &mut Criterion) {
         b.iter_batched(
             || dense.clone(),
             |mut l| {
-                let (_, cache) = l.forward(black_box(&x));
-                l.backward(&cache, black_box(&dy))
+                black_box(l.infer(black_box(&x)));
+                l.backward(black_box(&x), black_box(&dy))
             },
             criterion::BatchSize::SmallInput,
         );
@@ -87,8 +87,8 @@ fn bench_backward(c: &mut Criterion) {
         b.iter_batched(
             || fac.clone(),
             |mut l| {
-                let (_, cache) = l.forward(black_box(&x));
-                l.backward(&cache, black_box(&dy))
+                black_box(l.infer(black_box(&x)));
+                l.backward(black_box(&x), black_box(&dy))
             },
             criterion::BatchSize::SmallInput,
         );

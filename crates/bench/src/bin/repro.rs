@@ -206,12 +206,17 @@ fn parse_args() -> Args {
             }
             "--deadline-s" => {
                 i += 1;
-                let secs: f64 = parse_value("--deadline-s", flag_value(&argv, i, "--deadline-s"));
-                if !(secs > 0.0 && secs.is_finite()) {
-                    eprintln!("invalid value for --deadline-s: {secs} (must be positive)");
-                    std::process::exit(2);
+                let value = flag_value(&argv, i, "--deadline-s");
+                let secs: f64 = parse_value("--deadline-s", value);
+                match std::time::Duration::try_from_secs_f64(secs) {
+                    Ok(d) if secs > 0.0 => deadline = Some(d),
+                    _ => {
+                        eprintln!(
+                            "invalid value for --deadline-s: {value:?} (must be positive and below 1.8e19 seconds)"
+                        );
+                        std::process::exit(2);
+                    }
                 }
-                deadline = Some(std::time::Duration::from_secs_f64(secs));
             }
             "--shard" => {
                 i += 1;

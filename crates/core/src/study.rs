@@ -1,9 +1,10 @@
 //! Characterization and case-study drivers — one per figure of the paper.
 //!
-//! Every driver takes a *trained* base model plus the world it was trained
-//! on, decomposes clones of it according to the axis under study, and
-//! evaluates the benchmark suite. The efficiency drivers run the analytic
-//! hardware simulator on the full-size Llama2-7B descriptor.
+//! The accuracy drivers are [`StudyExecutor`] methods: the executor holds a
+//! *trained* base model plus the world it was trained on, decomposes clones
+//! of it according to the axis under study, and evaluates the benchmark
+//! suite. The efficiency drivers run the analytic hardware simulator on the
+//! full-size Llama2-7B descriptor.
 
 use crate::compression::param_reduction_pct;
 use crate::decompose::{decompose_model, decompose_model_cached, descriptor_decomposition};
@@ -100,66 +101,6 @@ fn failed_point(
     }
 }
 
-/// Decomposes a clone of `base` with `cfg` and evaluates it on `benches`.
-///
-/// A configuration that cannot be applied (invalid rank) yields a failed
-/// point ([`StudyPoint::is_failed`]) rather than a panic.
-pub fn eval_config(
-    base: &TransformerLm,
-    cfg: &DecompositionConfig,
-    label: impl Into<String>,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-) -> StudyPoint {
-    let label = label.into();
-    let _point = lrd_trace::span("point", label.clone());
-    lrd_trace::counters::add(lrd_trace::Counter::SweepPoints, 1);
-    let mut model = base.clone();
-    let rank = cfg.ranks.iter().map(|(_, _, p)| p).next().unwrap_or(0);
-    let reduction = if cfg.is_original() {
-        0.0
-    } else {
-        let _decompose = lrd_trace::span("decompose", label.clone());
-        match decompose_model(&mut model, cfg) {
-            Ok(report) => report.reduction_pct(),
-            Err(e) => return failed_point(label, rank, cfg, e, 0),
-        }
-    };
-    let _eval = lrd_trace::span("eval", label.clone());
-    let results = benches
-        .iter()
-        .map(|b| (b.name(), evaluate(&model, b.as_ref(), world, opts)))
-        .collect();
-    StudyPoint {
-        label,
-        rank,
-        layers: cfg.layers.iter().copied().collect(),
-        tensors: cfg.tensors.iter().copied().collect(),
-        param_reduction_pct: reduction,
-        results,
-        error: None,
-        retries: 0,
-    }
-}
-
-/// Baseline accuracies of the undecomposed model.
-pub fn baseline(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-) -> StudyPoint {
-    eval_config(
-        base,
-        &DecompositionConfig::original(),
-        "original",
-        world,
-        benches,
-        opts,
-    )
-}
-
 /// A labelled configuration awaiting evaluation.
 pub type StudySpec = (String, DecompositionConfig);
 
@@ -199,7 +140,7 @@ impl Drop for ThreadLimitGuard {
 /// drivers (one executor can serve Figs. 3 and 5–9 back to back, reusing
 /// factor pairs between figures).
 ///
-/// Results are bit-identical to the sequential drivers at any pool size:
+/// Results are bit-identical at any pool size:
 /// jobs land in index-ordered slots, `tucker2` is deterministic, and
 /// evaluation is deterministic in its thread count.
 ///
@@ -624,7 +565,10 @@ impl<'a> StudyExecutor<'a> {
         })
     }
 
-    /// Fig. 3 sweep (see [`rank_sweep`]).
+    /// Fig. 3: accuracy versus pruned rank. The paper prunes 4096-dim
+    /// tensors to ranks {500, 250, 1}; `ranks` carries the equivalents
+    /// scaled to the model under test. Each rank is evaluated at each
+    /// provided layer set.
     pub fn rank_sweep(
         &self,
         benches: &[DynBenchmark],
@@ -644,7 +588,9 @@ impl<'a> StudyExecutor<'a> {
         self.run(benches, specs)
     }
 
-    /// Fig. 5 sweep (see [`tensor_choice`]).
+    /// Fig. 5: per-tensor sensitivity — each decomposable tensor factored
+    /// (rank 1) either in a single middle layer or in every layer. Works
+    /// for both architectures (7 Llama tensors, 6 BERT tensors).
     pub fn tensor_choice(&self, benches: &[DynBenchmark]) -> Vec<StudyPoint> {
         let n_layers = self.base.config().n_layers;
         let tensor_names = layer_tensor_names(self.base);
@@ -665,7 +611,12 @@ impl<'a> StudyExecutor<'a> {
         self.run(benches, specs)
     }
 
-    /// Fig. 6 sweep (see [`tensor_vs_layer`]).
+    /// Fig. 6: one-tensor-in-many-layers versus all-tensors-in-few-layers
+    /// at a matched parameter-reduction target.
+    ///
+    /// `single_tensors` lists the tensor indices whose all-layer
+    /// decomposition lands near the target; `all_tensor_layers` is the
+    /// layer set whose all-tensor decomposition matches it.
     pub fn tensor_vs_layer(
         &self,
         benches: &[DynBenchmark],
@@ -692,7 +643,8 @@ impl<'a> StudyExecutor<'a> {
         self.run(benches, specs)
     }
 
-    /// Fig. 7 sweep (see [`layer_sensitivity`]).
+    /// Fig. 7: per-layer sensitivity — decompose one layer at a time
+    /// (rank 1, all tensors) and record the aggregate accuracy.
     pub fn layer_sensitivity(&self, benches: &[DynBenchmark]) -> Vec<StudyPoint> {
         let n_layers = self.base.config().n_layers;
         let all_tensors: Vec<usize> = (0..layer_tensor_names(self.base).len()).collect();
@@ -707,7 +659,8 @@ impl<'a> StudyExecutor<'a> {
         self.run(benches, specs)
     }
 
-    /// Fig. 8 sweep (see [`layer_distance`]).
+    /// Fig. 8: the effect of the distance between decomposed layers — a
+    /// fixed number of layers placed at increasing strides.
     pub fn layer_distance(
         &self,
         benches: &[DynBenchmark],
@@ -730,7 +683,7 @@ impl<'a> StudyExecutor<'a> {
         self.run(benches, specs)
     }
 
-    /// Fig. 9 sweep (see [`case_study`]).
+    /// Fig. 9: the case-study sweep — accuracy at every Table 4 preset.
     pub fn case_study(&self, benches: &[DynBenchmark]) -> Vec<StudyPoint> {
         let specs = table4_presets()
             .into_iter()
@@ -738,20 +691,6 @@ impl<'a> StudyExecutor<'a> {
             .collect();
         self.run(benches, specs)
     }
-}
-
-/// Fig. 3: accuracy versus pruned rank. The paper prunes 4096-dim tensors
-/// to ranks {500, 250, 1}; `ranks` carries the equivalents scaled to the
-/// model under test. Each rank is evaluated at each provided layer set.
-pub fn rank_sweep(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-    ranks: &[usize],
-    layer_sets: &[(&str, Vec<usize>)],
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).rank_sweep(benches, ranks, layer_sets)
 }
 
 /// Paper display names (Fig. 4) of a model's per-layer decomposable
@@ -775,74 +714,6 @@ pub fn layer_tensor_names(base: &TransformerLm) -> Vec<&'static str> {
             other => other,
         })
         .collect()
-}
-
-/// Fig. 5: per-tensor sensitivity — each decomposable tensor factored
-/// (rank 1) either in a single middle layer or in every layer. Works for
-/// both architectures (7 Llama tensors, 6 BERT tensors).
-pub fn tensor_choice(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).tensor_choice(benches)
-}
-
-/// Fig. 6: one-tensor-in-many-layers versus all-tensors-in-few-layers at a
-/// matched parameter-reduction target.
-///
-/// `single_tensors` lists the tensor indices whose all-layer decomposition
-/// lands near the target; `all_tensor_layers` is the layer set whose
-/// all-tensor decomposition matches it.
-pub fn tensor_vs_layer(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-    single_tensors: &[usize],
-    all_tensor_layers: &[usize],
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).tensor_vs_layer(
-        benches,
-        single_tensors,
-        all_tensor_layers,
-    )
-}
-
-/// Fig. 7: per-layer sensitivity — decompose one layer at a time (rank 1,
-/// all tensors) and record the aggregate accuracy.
-pub fn layer_sensitivity(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).layer_sensitivity(benches)
-}
-
-/// Fig. 8: the effect of the distance between decomposed layers — a fixed
-/// number of layers placed at increasing strides.
-pub fn layer_distance(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-    strides: &[usize],
-    count: usize,
-    start: usize,
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).layer_distance(benches, strides, count, start)
-}
-
-/// Fig. 9: the case-study sweep — accuracy at every Table 4 preset.
-pub fn case_study(
-    base: &TransformerLm,
-    world: &World,
-    benches: &[DynBenchmark],
-    opts: &EvalOptions,
-) -> Vec<StudyPoint> {
-    StudyExecutor::new(base, world, opts).case_study(benches)
 }
 
 /// One point of the efficiency sweep (Figs. 10–12).
@@ -1252,7 +1123,7 @@ mod tests {
     fn eval_config_baseline_has_zero_reduction() {
         let m = quick_model();
         let w = World::new(1);
-        let p = baseline(&m, &w, &quick_benches(), &quick_opts());
+        let p = StudyExecutor::new(&m, &w, &quick_opts()).baseline(&quick_benches());
         assert_eq!(p.param_reduction_pct, 0.0);
         assert_eq!(p.results.len(), 2);
         assert!(p.mean_accuracy() >= 0.0);
@@ -1262,7 +1133,7 @@ mod tests {
     fn layer_sensitivity_covers_all_layers() {
         let m = quick_model();
         let w = World::new(1);
-        let pts = layer_sensitivity(&m, &w, &quick_benches(), &quick_opts());
+        let pts = StudyExecutor::new(&m, &w, &quick_opts()).layer_sensitivity(&quick_benches());
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[2].layers, vec![2]);
         // Single-layer rank-1 reduction ≈ layer share of params.
@@ -1273,11 +1144,8 @@ mod tests {
     fn rank_sweep_labels_and_reductions() {
         let m = quick_model();
         let w = World::new(1);
-        let pts = rank_sweep(
-            &m,
-            &w,
+        let pts = StudyExecutor::new(&m, &w, &quick_opts()).rank_sweep(
             &quick_benches(),
-            &quick_opts(),
             &[1, 2],
             &[("mid", vec![1, 2])],
         );

@@ -8,7 +8,7 @@
 
 use crate::act::{softmax_rows, softmax_rows_backward};
 use crate::decode::DecodeError;
-use crate::linear::{AnyLinear, AnyLinearCache};
+use crate::linear::AnyLinear;
 use crate::param::Param;
 use crate::rope::Rope;
 use lrd_tensor::attention::{
@@ -155,10 +155,10 @@ pub struct MultiHeadAttention {
 /// Cached forward state for [`MultiHeadAttention::forward`].
 #[derive(Debug, Clone)]
 pub struct AttentionCache {
-    q_cache: AnyLinearCache,
-    k_cache: AnyLinearCache,
-    v_cache: AnyLinearCache,
-    o_cache: AnyLinearCache,
+    /// Input of `W_Q`, `W_K` and `W_V`, `(B·T) × d`.
+    x: Tensor,
+    /// Input of `W_SO`: the per-head contexts, `(B·T) × (H·hd)`.
+    ctx: Tensor,
     /// Rotated queries, `(B·T) × (H·hd)`.
     q: Tensor,
     /// Rotated keys, `(B·T) × (Hkv·hd)`.
@@ -370,80 +370,19 @@ impl MultiHeadAttention {
         ctx
     }
 
-    /// Forward pass over `x ((B·T) × d)` laid out batch-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != batch · seq`.
-    pub fn forward(&self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, AttentionCache) {
-        assert_eq!(x.rows(), batch * seq, "attention input rows != batch*seq");
-        let (mut q, q_cache) = self.wq.forward(x);
-        let (mut k, k_cache) = self.wk.forward(x);
-        let (v, v_cache) = self.wv.forward(x);
-
-        if let Some(rope) = &self.rope {
-            for b in 0..batch {
-                for t in 0..seq {
-                    let qrow = q.row_mut(b * seq + t);
-                    for h in 0..self.n_heads {
-                        rope.apply(&mut qrow[h * self.head_dim..(h + 1) * self.head_dim], t);
-                    }
-                    let krow = k.row_mut(b * seq + t);
-                    for h in 0..self.n_kv_heads {
-                        rope.apply(&mut krow[h * self.head_dim..(h + 1) * self.head_dim], t);
-                    }
-                }
-            }
-        }
-
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let group = self.n_heads / self.n_kv_heads;
-        let mut ctx = Tensor::zeros(&[batch * seq, self.n_heads * self.head_dim]);
-        let mut probs = Vec::with_capacity(batch * self.n_heads);
-        for b in 0..batch {
-            for h in 0..self.n_heads {
-                let kv_h = h / group;
-                let qb = Self::head_block(&q, b, h, seq, self.head_dim);
-                let kb = Self::head_block(&k, b, kv_h, seq, self.head_dim);
-                let vb = Self::head_block(&v, b, kv_h, seq, self.head_dim);
-                let mut scores = matmul_transb(&qb, &kb).scale(scale);
-                if self.causal {
-                    for t in 0..seq {
-                        let row = scores.row_mut(t);
-                        for entry in row.iter_mut().take(seq).skip(t + 1) {
-                            *entry = f32::NEG_INFINITY;
-                        }
-                    }
-                }
-                let p = softmax_rows(&scores);
-                let c = matmul(&p, &vb);
-                Self::add_head_block(&mut ctx, &c, b, h, seq, self.head_dim);
-                probs.push(p);
-            }
-        }
-
-        let (y, o_cache) = self.wo.forward(&ctx);
-        (
-            y,
-            AttentionCache {
-                q_cache,
-                k_cache,
-                v_cache,
-                o_cache,
-                q,
-                k,
-                v,
-                probs,
-                batch,
-                seq,
-            },
-        )
-    }
-
-    /// Inference-only forward: no projection caches, no retained attention
-    /// probabilities — each head's score matrix is dropped as soon as its
-    /// context rows are accumulated.
-    pub fn infer(&self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
+    /// Prefill body of [`MultiHeadAttention::forward`] and
+    /// [`MultiHeadAttention::infer`]: the three input projections, RoPE,
+    /// and the per-(batch, head) scores/mask/softmax/P·V loop. Returns the
+    /// rotated queries and keys, the values and the context rows that feed
+    /// `W_SO`. Each head's probabilities go to `probs` when given; otherwise
+    /// they are dropped as soon as that head's context rows are accumulated.
+    fn prefill(
+        &self,
+        x: &Tensor,
+        batch: usize,
+        seq: usize,
+        mut probs: Option<&mut Vec<Tensor>>,
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
         assert_eq!(x.rows(), batch * seq, "attention input rows != batch*seq");
         let mut q = self.wq.infer(x);
         let mut k = self.wk.infer(x);
@@ -485,9 +424,44 @@ impl MultiHeadAttention {
                 let p = softmax_rows(&scores);
                 let c = matmul(&p, &vb);
                 Self::add_head_block(&mut ctx, &c, b, h, seq, self.head_dim);
+                if let Some(probs) = probs.as_deref_mut() {
+                    probs.push(p);
+                }
             }
         }
+        (q, k, v, ctx)
+    }
 
+    /// Forward pass over `x ((B·T) × d)` laid out batch-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.rows() != batch · seq`.
+    pub fn forward(&self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, AttentionCache) {
+        let mut probs = Vec::with_capacity(batch * self.n_heads);
+        let (q, k, v, ctx) = self.prefill(x, batch, seq, Some(&mut probs));
+        let y = self.wo.infer(&ctx);
+        let cache = AttentionCache {
+            x: x.clone(),
+            ctx,
+            q,
+            k,
+            v,
+            probs,
+            batch,
+            seq,
+        };
+        (y, cache)
+    }
+
+    /// Inference-only forward: no retained activations or attention
+    /// probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.rows() != batch · seq`.
+    pub fn infer(&self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
+        let (.., ctx) = self.prefill(x, batch, seq, None);
         self.wo.infer(&ctx)
     }
 
@@ -497,7 +471,7 @@ impl MultiHeadAttention {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let group = self.n_heads / self.n_kv_heads;
 
-        let dctx = self.wo.backward(&cache.o_cache, dy);
+        let dctx = self.wo.backward(&cache.ctx, dy);
 
         let mut dq = Tensor::zeros(&[batch * seq, self.n_heads * self.head_dim]);
         let mut dk = Tensor::zeros(&[batch * seq, self.n_kv_heads * self.head_dim]);
@@ -548,9 +522,9 @@ impl MultiHeadAttention {
             }
         }
 
-        let mut dx = self.wq.backward(&cache.q_cache, &dq);
-        dx.axpy(1.0, &self.wk.backward(&cache.k_cache, &dk));
-        dx.axpy(1.0, &self.wv.backward(&cache.v_cache, &dv));
+        let mut dx = self.wq.backward(&cache.x, &dq);
+        dx.axpy(1.0, &self.wk.backward(&cache.x, &dk));
+        dx.axpy(1.0, &self.wv.backward(&cache.x, &dv));
         dx
     }
 

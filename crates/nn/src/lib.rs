@@ -22,8 +22,11 @@
 //! * [`optim`], [`train`] — AdamW/SGD and a mini-batch trainer.
 //! * [`checkpoint`] — deterministic binary save/load of model weights.
 //!
-//! Every layer exposes `forward(&self, …) -> (output, cache)` and
-//! `backward(&mut self, cache, grad) -> input_grad`; gradients are verified
+//! A linear layer has one forward pass, `infer(&self, x)`, and its
+//! `backward(&mut self, x, grad) -> input_grad` takes the same input again.
+//! Composite layers expose `forward(&self, …) -> (output, cache)`, whose
+//! cache holds each linear input once, a cache-free `infer`, and
+//! `backward(&mut self, cache, grad) -> input_grad`. Gradients are verified
 //! against finite differences in the test suite.
 
 pub mod act;

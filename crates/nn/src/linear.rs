@@ -7,9 +7,9 @@
 //! same slot, which is how the decomposer swaps tensors in place.
 
 use crate::param::Param;
-use lrd_tensor::matmul::{
-    factored_matmul, factored_matmul_caches, matmul, matmul_transa, matmul_transb,
-};
+use lrd_tensor::dtype::KernelDtype;
+use lrd_tensor::kernel::Backend;
+use lrd_tensor::matmul::{factored_matmul, gemm, matmul, matmul_transa, matmul_transb, Trans};
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::tucker::Tucker2;
 use lrd_tensor::Tensor;
@@ -30,12 +30,6 @@ pub struct Linear {
     pub w: Param,
     /// Optional bias, length `out`.
     pub b: Option<Param>,
-}
-
-/// Cached forward state for [`Linear::forward`].
-#[derive(Debug, Clone)]
-pub struct LinearCache {
-    x: Tensor,
 }
 
 impl Linear {
@@ -70,20 +64,12 @@ impl Linear {
         self.w.len() + self.b.as_ref().map_or(0, Param::len)
     }
 
-    /// Forward pass for a batch of rows `x (m × in)`.
+    /// Forward pass for a batch of rows `x (m × in)`. Nothing is cached:
+    /// [`Linear::backward`] takes the same `x` again.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != fan_in`.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, LinearCache) {
-        let mut y = matmul(x, &self.w.value);
-        if let Some(b) = &self.b {
-            add_bias_rows(&mut y, b.value.data());
-        }
-        (y, LinearCache { x: x.clone() })
-    }
-
-    /// Inference-only forward: no cache is built, so `x` is never cloned.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = matmul(x, &self.w.value);
         if let Some(b) = &self.b {
@@ -92,9 +78,10 @@ impl Linear {
         y
     }
 
-    /// Backward pass: accumulates weight/bias gradients and returns `dx`.
-    pub fn backward(&mut self, cache: &LinearCache, dy: &Tensor) -> Tensor {
-        let dw = matmul_transa(&cache.x, dy);
+    /// Backward pass for the forward input `x`: accumulates weight/bias
+    /// gradients and returns `dx`.
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        let dw = matmul_transa(x, dy);
         self.w.accumulate(&dw);
         if let Some(b) = &mut self.b {
             let mut db = Tensor::zeros(&[dy.cols()]);
@@ -131,14 +118,6 @@ pub struct FactoredLinear {
     pub u2: Param,
     /// Optional bias carried over from the dense layer.
     pub b: Option<Param>,
-}
-
-/// Cached forward state for [`FactoredLinear::forward`].
-#[derive(Debug, Clone)]
-pub struct FactoredCache {
-    x: Tensor,
-    h1: Tensor,
-    h2: Tensor,
 }
 
 impl FactoredLinear {
@@ -178,28 +157,9 @@ impl FactoredLinear {
         matmul(&matmul(&self.u1.value, &self.core.value), &self.u2.value)
     }
 
-    /// Forward pass `y = ((x·U1)·Γ)·U2 (+ b)` through the fused factored
-    /// GEMM pipeline; `h1`/`h2` come back from the fused pass for the
-    /// backward step instead of being produced by separate GEMM calls.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, FactoredCache) {
-        let (mut y, h1, h2) =
-            factored_matmul_caches(x, &self.u1.value, &self.core.value, &self.u2.value);
-        if let Some(b) = &self.b {
-            add_bias_rows(&mut y, b.value.data());
-        }
-        (
-            y,
-            FactoredCache {
-                x: x.clone(),
-                h1,
-                h2,
-            },
-        )
-    }
-
-    /// Inference-only forward via the fused factored pipeline: the
-    /// `h1`/`h2` intermediates stay in cache-blocked scratch inside the
-    /// engine and never materialize as tensors.
+    /// Forward pass `y = ((x·U1)·Γ)·U2 (+ b)` via the fused factored
+    /// pipeline: the `h1`/`h2` intermediates stay in cache-blocked scratch
+    /// inside the engine and never materialize as tensors.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = factored_matmul(x, &self.u1.value, &self.core.value, &self.u2.value);
         if let Some(b) = &self.b {
@@ -208,8 +168,17 @@ impl FactoredLinear {
         y
     }
 
-    /// Backward pass through all three factors; returns `dx`.
-    pub fn backward(&mut self, cache: &FactoredCache, dy: &Tensor) -> Tensor {
+    /// Backward pass through all three factors for the forward input `x`;
+    /// returns `dx`.
+    ///
+    /// The stage intermediates `h1 = x·U1` and `h2 = h1·Γ` are recomputed
+    /// rather than kept from the forward pass: at rank `r` they cost
+    /// `m·r·(in + r)` MACs. They use the fused [`FactoredLinear::infer`]'s
+    /// panel dtype, so they equal its stages bit for bit.
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        let (backend, dtype) = (Backend::active(), KernelDtype::active());
+        let h1 = gemm(backend, dtype, Trans::No, x, &self.u1.value);
+        let h2 = gemm(backend, dtype, Trans::No, &h1, &self.core.value);
         if let Some(b) = &mut self.b {
             let mut db = Tensor::zeros(&[dy.cols()]);
             for i in 0..dy.rows() {
@@ -219,13 +188,13 @@ impl FactoredLinear {
             }
             b.accumulate(&db);
         }
-        let du2 = matmul_transa(&cache.h2, dy);
+        let du2 = matmul_transa(&h2, dy);
         self.u2.accumulate(&du2);
         let dh2 = matmul_transb(dy, &self.u2.value);
-        let dcore = matmul_transa(&cache.h1, &dh2);
+        let dcore = matmul_transa(&h1, &dh2);
         self.core.accumulate(&dcore);
         let dh1 = matmul_transb(&dh2, &self.core.value);
-        let du1 = matmul_transa(&cache.x, &dh1);
+        let du1 = matmul_transa(x, &dh1);
         self.u1.accumulate(&du1);
         matmul_transb(&dh1, &self.u1.value)
     }
@@ -249,15 +218,6 @@ pub enum AnyLinear {
     Dense(Linear),
     /// Tucker-decomposed layer.
     Factored(FactoredLinear),
-}
-
-/// Cache for [`AnyLinear::forward`].
-#[derive(Debug, Clone)]
-pub enum AnyLinearCache {
-    /// Cache of the dense branch.
-    Dense(LinearCache),
-    /// Cache of the factored branch.
-    Factored(FactoredCache),
 }
 
 impl AnyLinear {
@@ -295,21 +255,7 @@ impl AnyLinear {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, AnyLinearCache) {
-        match self {
-            AnyLinear::Dense(l) => {
-                let (y, c) = l.forward(x);
-                (y, AnyLinearCache::Dense(c))
-            }
-            AnyLinear::Factored(f) => {
-                let (y, c) = f.forward(x);
-                (y, AnyLinearCache::Factored(c))
-            }
-        }
-    }
-
-    /// Inference-only forward.
+    /// Forward pass; nothing is cached.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         match self {
             AnyLinear::Dense(l) => l.infer(x),
@@ -317,17 +263,11 @@ impl AnyLinear {
         }
     }
 
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache variant does not match the layer variant.
-    pub fn backward(&mut self, cache: &AnyLinearCache, dy: &Tensor) -> Tensor {
-        match (self, cache) {
-            (AnyLinear::Dense(l), AnyLinearCache::Dense(c)) => l.backward(c, dy),
-            (AnyLinear::Factored(f), AnyLinearCache::Factored(c)) => f.backward(c, dy),
-            // lrd-lint: allow(no-panic, "documented `# Panics` contract: pairing a cache with the wrong layer variant is a caller bug")
-            _ => panic!("AnyLinear::backward: cache variant mismatch"),
+    /// Backward pass for the forward input `x`; returns `dx`.
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        match self {
+            AnyLinear::Dense(l) => l.backward(x, dy),
+            AnyLinear::Factored(f) => f.backward(x, dy),
         }
     }
 
@@ -372,7 +312,7 @@ mod tests {
         let mut l = Linear::new(4, 3, true, &mut rng);
         l.b.as_mut().unwrap().value.data_mut()[1] = 2.0;
         let x = Tensor::zeros(&[5, 4]);
-        let (y, _) = l.forward(&x);
+        let y = l.infer(&x);
         assert_eq!(y.dims(), &[5, 3]);
         assert_eq!(y.get(&[2, 1]), 2.0);
     }
@@ -383,10 +323,9 @@ mod tests {
         let mut l = Linear::new(4, 3, true, &mut rng);
         let x = Tensor::randn(&[2, 4], &mut rng);
         let dy = Tensor::randn(&[2, 3], &mut rng);
-        let (_, cache) = l.forward(&x);
-        let dx = l.backward(&cache, &dy);
+        let dx = l.backward(&x, &dy);
         let lc = l.clone();
-        let fd = numerical_dx(&|x| lc.forward(x).0, &x, &dy, 1e-2);
+        let fd = numerical_dx(&|x| lc.infer(x), &x, &dy, 1e-2);
         assert!(dx.approx_eq(&fd, 1e-2), "dx mismatch");
     }
 
@@ -396,15 +335,14 @@ mod tests {
         let mut l = Linear::new(3, 2, false, &mut rng);
         let x = Tensor::randn(&[4, 3], &mut rng);
         let dy = Tensor::randn(&[4, 2], &mut rng);
-        let (_, cache) = l.forward(&x);
-        l.backward(&cache, &dy);
+        l.backward(&x, &dy);
         let h = 1e-2;
         for i in 0..l.w.len() {
             let mut lp = l.clone();
             lp.w.value.data_mut()[i] += h;
             let mut lm = l.clone();
             lm.w.value.data_mut()[i] -= h;
-            let fd = (lp.forward(&x).0.dot(&dy) - lm.forward(&x).0.dot(&dy)) / (2.0 * h);
+            let fd = (lp.infer(&x).dot(&dy) - lm.infer(&x).dot(&dy)) / (2.0 * h);
             assert!((l.w.grad.data()[i] - fd).abs() < 1e-2, "dw[{i}]");
         }
     }
@@ -444,10 +382,9 @@ mod tests {
             FactoredLinear::from_tucker(lrd_tensor::tucker::tucker2(&w, 2).unwrap(), None);
         let x = Tensor::randn(&[3, 5], &mut rng);
         let dy = Tensor::randn(&[3, 4], &mut rng);
-        let (_, cache) = fac.forward(&x);
-        let dx = fac.backward(&cache, &dy);
+        let dx = fac.backward(&x, &dy);
         let fc = fac.clone();
-        let fd = numerical_dx(&|x| fc.forward(x).0, &x, &dy, 1e-2);
+        let fd = numerical_dx(&|x| fc.infer(x), &x, &dy, 1e-2);
         assert!(dx.approx_eq(&fd, 1e-2));
         // Core gradient check.
         let h = 1e-2;
@@ -456,9 +393,35 @@ mod tests {
             fp.core.value.data_mut()[i] += h;
             let mut fm = fac.clone();
             fm.core.value.data_mut()[i] -= h;
-            let fd = (fp.forward(&x).0.dot(&dy) - fm.forward(&x).0.dot(&dy)) / (2.0 * h);
+            let fd = (fp.infer(&x).dot(&dy) - fm.infer(&x).dot(&dy)) / (2.0 * h);
             assert!((fac.core.grad.data()[i] - fd).abs() < 2e-2, "dcore[{i}]");
         }
+    }
+
+    #[test]
+    fn factored_backward_sees_the_fused_forward_stages() {
+        // With Γ and U2 identities the fused forward returns its own `h1`
+        // (= `h2`) as `y`, so at every panel dtype the factor gradients
+        // must be built from exactly `y`'s bits.
+        let mut rng = Rng64::new(9);
+        let (m, k, r) = (7, 40, 3);
+        let mut eye = Tensor::zeros(&[r, r]);
+        for i in 0..r {
+            eye.set(&[i, i], 1.0);
+        }
+        let mut fac = FactoredLinear {
+            u1: Param::new(Tensor::randn(&[k, r], &mut rng)),
+            core: Param::new(eye.clone()),
+            u2: Param::new(eye),
+            b: None,
+        };
+        let x = Tensor::randn(&[m, k], &mut rng);
+        let dy = Tensor::randn(&[m, r], &mut rng);
+        let y = fac.infer(&x);
+        fac.backward(&x, &dy);
+        assert_eq!(fac.u2.grad, matmul_transa(&y, &dy));
+        let dh2 = matmul_transb(&dy, &fac.u2.value);
+        assert_eq!(fac.core.grad, matmul_transa(&y, &dh2));
     }
 
     #[test]

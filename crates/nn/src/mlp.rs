@@ -5,7 +5,7 @@
 //! paper (Fig. 4): `W_Int`/`W_O` for BERT and `W_G`/`W_U`/`W_D` for Llama.
 
 use crate::act::{gelu, gelu_grad, swiglu, swiglu_backward};
-use crate::linear::{AnyLinear, AnyLinearCache};
+use crate::linear::AnyLinear;
 use crate::param::Param;
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
@@ -28,9 +28,11 @@ pub struct BertMlp {
 /// Cached forward state for [`BertMlp`].
 #[derive(Debug, Clone)]
 pub struct BertMlpCache {
-    int_cache: AnyLinearCache,
-    out_cache: AnyLinearCache,
+    /// Input of `W_Int`.
+    x: Tensor,
     pre_act: Tensor,
+    /// Input of `W_O`, `gelu(pre_act)`.
+    h: Tensor,
 }
 
 impl BertMlp {
@@ -49,15 +51,15 @@ impl BertMlp {
 
     /// Forward pass over `x (m × d)`.
     pub fn forward(&self, x: &Tensor) -> (Tensor, BertMlpCache) {
-        let (pre_act, int_cache) = self.intermediate.forward(x);
+        let pre_act = self.intermediate.infer(x);
         let h = pre_act.map(gelu);
-        let (y, out_cache) = self.output.forward(&h);
+        let y = self.output.infer(&h);
         (
             y,
             BertMlpCache {
-                int_cache,
-                out_cache,
+                x: x.clone(),
                 pre_act,
+                h,
             },
         )
     }
@@ -70,9 +72,9 @@ impl BertMlp {
 
     /// Backward pass; returns `dx`.
     pub fn backward(&mut self, cache: &BertMlpCache, dy: &Tensor) -> Tensor {
-        let dh = self.output.backward(&cache.out_cache, dy);
+        let dh = self.output.backward(&cache.h, dy);
         let dpre = ew(&dh, &cache.pre_act, |g, x| g * gelu_grad(x));
-        self.intermediate.backward(&cache.int_cache, &dpre)
+        self.intermediate.backward(&cache.x, &dpre)
     }
 
     /// Visits the two linear slots (decomposer hook).
@@ -103,11 +105,12 @@ pub struct SwiGluMlp {
 /// Cached forward state for [`SwiGluMlp`].
 #[derive(Debug, Clone)]
 pub struct SwiGluCache {
-    gate_cache: AnyLinearCache,
-    up_cache: AnyLinearCache,
-    down_cache: AnyLinearCache,
+    /// Input of `W_G` and `W_U`.
+    x: Tensor,
     gate_pre: Tensor,
     up_out: Tensor,
+    /// Input of `W_D`, `swiglu(gate_pre, up_out)`.
+    h: Tensor,
 }
 
 impl SwiGluMlp {
@@ -127,18 +130,17 @@ impl SwiGluMlp {
 
     /// Forward pass over `x (m × d)`.
     pub fn forward(&self, x: &Tensor) -> (Tensor, SwiGluCache) {
-        let (gate_pre, gate_cache) = self.gate.forward(x);
-        let (up_out, up_cache) = self.up.forward(x);
+        let gate_pre = self.gate.infer(x);
+        let up_out = self.up.infer(x);
         let h = swiglu(&gate_pre, &up_out);
-        let (y, down_cache) = self.down.forward(&h);
+        let y = self.down.infer(&h);
         (
             y,
             SwiGluCache {
-                gate_cache,
-                up_cache,
-                down_cache,
+                x: x.clone(),
                 gate_pre,
                 up_out,
+                h,
             },
         )
     }
@@ -153,10 +155,10 @@ impl SwiGluMlp {
 
     /// Backward pass; returns `dx`.
     pub fn backward(&mut self, cache: &SwiGluCache, dy: &Tensor) -> Tensor {
-        let dh = self.down.backward(&cache.down_cache, dy);
+        let dh = self.down.backward(&cache.h, dy);
         let (dgate, dup) = swiglu_backward(&cache.gate_pre, &cache.up_out, &dh);
-        let mut dx = self.gate.backward(&cache.gate_cache, &dgate);
-        dx.axpy(1.0, &self.up.backward(&cache.up_cache, &dup));
+        let mut dx = self.gate.backward(&cache.x, &dgate);
+        dx.axpy(1.0, &self.up.backward(&cache.x, &dup));
         dx
     }
 

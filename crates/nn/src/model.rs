@@ -4,7 +4,7 @@ use crate::act::log_softmax_rows;
 use crate::block::{BlockCache, DecoderBlock, EncoderBlock, TransformerBlock};
 use crate::config::{ArchKind, TransformerConfig};
 use crate::decode::DecodeError;
-use crate::linear::{AnyLinear, AnyLinearCache};
+use crate::linear::AnyLinear;
 use crate::norm::{LayerNorm, LayerNormCache, RmsNorm, RmsNormCache};
 use crate::param::Param;
 use lrd_tensor::rng::Rng64;
@@ -133,11 +133,11 @@ impl DecodeState {
 #[derive(Debug, Clone)]
 pub struct ModelCache {
     tokens: Vec<usize>,
-    batch: usize,
     seq: usize,
     block_caches: Vec<BlockCache>,
     norm_cache: FinalNormCache,
-    head_cache: AnyLinearCache,
+    /// Final-norm output, the input of the LM head.
+    nx: Tensor,
 }
 
 impl TransformerLm {
@@ -231,16 +231,15 @@ impl TransformerLm {
             block_caches.push(c);
         }
         let (nx, norm_cache) = self.final_norm.forward(&x);
-        let (logits, head_cache) = self.lm_head.forward(&nx);
+        let logits = self.lm_head.infer(&nx);
         (
             logits,
             ModelCache {
                 tokens: tokens.to_vec(),
-                batch,
                 seq,
                 block_caches,
                 norm_cache,
-                head_cache,
+                nx,
             },
         )
     }
@@ -269,7 +268,7 @@ impl TransformerLm {
     /// Backward pass from `dlogits`; accumulates gradients into every
     /// parameter.
     pub fn backward(&mut self, cache: &ModelCache, dlogits: &Tensor) {
-        let dnx = self.lm_head.backward(&cache.head_cache, dlogits);
+        let dnx = self.lm_head.backward(&cache.nx, dlogits);
         let mut dx = self.final_norm.backward(&cache.norm_cache, &dnx);
         for (block, bc) in self.blocks.iter_mut().zip(&cache.block_caches).rev() {
             dx = block.backward(bc, &dx);
@@ -289,7 +288,6 @@ impl TransformerLm {
                 }
             }
         }
-        let _ = cache.batch;
     }
 
     /// Sum of log-probabilities of `continuation` given `prefix`
@@ -555,14 +553,31 @@ mod tests {
 
     #[test]
     fn infer_logits_match_training_forward() {
-        // The no-cache inference path must agree with forward() exactly for
-        // both architectures.
-        for kind in [ArchKind::Decoder, ArchKind::Encoder] {
-            let m = tiny(kind, 2);
+        // The no-cache inference path must agree with forward() bit for bit
+        // for both architectures, with grouped-query attention, and with
+        // every slot replaced by a rank-1 factored layer.
+        let gqa_cfg = TransformerConfig {
+            n_heads: 4,
+            n_kv_heads: 2,
+            ..tiny(ArchKind::Decoder, 2).cfg
+        };
+        let gqa = TransformerLm::new(gqa_cfg, &mut Rng64::new(43));
+        let factored = |m: &TransformerLm| {
+            let mut f = m.clone();
+            for (_, _, slot) in f.visit_linears() {
+                let t = lrd_tensor::tucker::tucker2(&slot.effective_weight(), 1).unwrap();
+                *slot = AnyLinear::Factored(crate::linear::FactoredLinear::from_tucker(t, None));
+            }
+            f
+        };
+        let dense = [tiny(ArchKind::Decoder, 2), tiny(ArchKind::Encoder, 2), gqa];
+        let factored: Vec<_> = dense.iter().map(factored).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, m) in dense.iter().chain(&factored).enumerate() {
             let tokens = [1usize, 2, 3, 4, 5, 6];
             let (train, _) = m.forward(&tokens, 2);
             let infer = m.logits(&tokens, 2);
-            assert_eq!(train, infer, "{kind:?} infer path diverged");
+            assert_eq!(bits(&train), bits(&infer), "model {i} infer path diverged");
         }
     }
 

@@ -549,10 +549,9 @@ fn with_factors(
 /// One worker's share of the fused factored product: processes `rows` rows
 /// of `x` starting at `row0` in `MC`-row chunks, streaming each chunk
 /// through the three stages (`h1 = x·U1`, `h2 = h1·Γ`, `y += h2·U2`).
-/// Without caches, `h1`/`h2` live in two chunk-sized scratch buffers
-/// (≲ `MC·r` floats each) that stay cache-resident instead of
-/// materializing `m×r` heap tensors; with caches, stages write straight
-/// into the caller's full `h1`/`h2` rows.
+/// `h1`/`h2` live in two chunk-sized scratch buffers (≲ `MC·r` floats
+/// each) that stay cache-resident instead of materializing `m×r` heap
+/// tensors.
 fn factored_band(
     backend: Backend,
     x: &MatRef,
@@ -560,7 +559,6 @@ fn factored_band(
     rows: usize,
     factors: Factors,
     y_band: &mut [f32],
-    mut caches: Option<(&mut [f32], &mut [f32])>,
 ) {
     let [r1, r2, n] = factors.widths();
     // Packing and intermediate buffers persist across calls on each worker
@@ -576,23 +574,14 @@ fn factored_band(
         let mut bytes_packed = 0u64;
         for c0 in (0..rows).step_by(MC) {
             let cm = MC.min(rows - c0);
-            let (h1, h2): (&mut [f32], &mut [f32]) = match caches.as_mut() {
-                Some((h1f, h2f)) => (
-                    &mut h1f[c0 * r1..(c0 + cm) * r1],
-                    &mut h2f[c0 * r2..(c0 + cm) * r2],
-                ),
-                None => {
-                    h1s.clear();
-                    h1s.resize(cm * r1, 0.0);
-                    h2s.clear();
-                    h2s.resize(cm * r2, 0.0);
-                    (h1s.as_mut_slice(), h2s.as_mut_slice())
-                }
-            };
-            bytes_packed += factors.stage(0, backend, x, row0 + c0, cm, h1, apack);
-            let h1 = MatRef::new(&*h1, cm, r1);
-            bytes_packed += factors.stage(1, backend, &h1, 0, cm, h2, apack);
-            let h2 = MatRef::new(&*h2, cm, r2);
+            h1s.clear();
+            h1s.resize(cm * r1, 0.0);
+            h2s.clear();
+            h2s.resize(cm * r2, 0.0);
+            bytes_packed += factors.stage(0, backend, x, row0 + c0, cm, h1s, apack);
+            let h1 = MatRef::new(h1s, cm, r1);
+            bytes_packed += factors.stage(1, backend, &h1, 0, cm, h2s, apack);
+            let h2 = MatRef::new(h2s, cm, r2);
             let y_chunk = &mut y_band[c0 * n..(c0 + cm) * n];
             bytes_packed += factors.stage(2, backend, &h2, 0, cm, y_chunk, apack);
         }
@@ -602,15 +591,13 @@ fn factored_band(
 
 /// Threaded driver of the fused factored product: records the call, then
 /// runs [`factored_band`] over row bands of `x` (inline when one thread
-/// suffices). With `caches`, each band also gets its rows of the caller's
-/// full `h1`/`h2`.
+/// suffices).
 fn factored_driver(
     backend: Backend,
     dtype: KernelDtype,
     x: &MatRef,
     factors: Factors,
     y: &mut [f32],
-    mut caches: Option<(&mut [f32], &mut [f32])>,
 ) {
     let (m, k) = (x.rows(), x.cols());
     let [r1, r2, n] = factors.widths();
@@ -623,7 +610,7 @@ fn factored_driver(
     );
     let threads = thread_count(macs, m);
     if threads <= 1 {
-        factored_band(backend, x, 0, m, factors, y, caches);
+        factored_band(backend, x, 0, m, factors, y);
         return;
     }
     let band = m.div_ceil(threads);
@@ -634,27 +621,17 @@ fn factored_driver(
             let rows = band.min(m - row0);
             let (y_mine, y_tail) = y_rest.split_at_mut(rows * n);
             y_rest = y_tail;
-            let band_caches = match caches.take() {
-                Some((h1, h2)) => {
-                    let (h1_mine, h1_tail) = h1.split_at_mut(rows * r1);
-                    let (h2_mine, h2_tail) = h2.split_at_mut(rows * r2);
-                    caches = Some((h1_tail, h2_tail));
-                    Some((h1_mine, h2_mine))
-                }
-                None => None,
-            };
             let x = *x;
             scope.spawn(move || {
-                factored_band(backend, &x, row0, rows, factors, y_mine, band_caches);
+                factored_band(backend, &x, row0, rows, factors, y_mine);
             });
             row0 += rows;
         }
     });
 }
 
-/// Validates the factored-product shapes and returns
-/// `(m, k, r1, r2, n)`.
-fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize; 5] {
+/// Validates the factored-product shapes and returns `(m, k, n)`.
+fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize; 3] {
     let (m, k) = (x.rows(), x.cols());
     let (k2, r1) = (u1.rows(), u1.cols());
     let (r1b, r2) = (core.rows(), core.cols());
@@ -662,7 +639,7 @@ fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize;
     assert_eq!(k, k2, "factored_matmul: x·U1 inner dimension mismatch");
     assert_eq!(r1, r1b, "factored_matmul: U1·core inner dimension mismatch");
     assert_eq!(r2, r2b, "factored_matmul: core·U2 inner dimension mismatch");
-    [m, k, r1, r2, n]
+    [m, k, n]
 }
 
 /// A factored linear product `((x·U1)·Γ)·U2` with all three factor
@@ -744,7 +721,6 @@ impl FactoredPlan {
             &MatRef::new(x.data(), m, k),
             Factors::Packed(&self.panels),
             y.data_mut(),
-            None,
         );
         y
     }
@@ -787,38 +763,13 @@ pub fn factored_matmul_with(
     core: &Tensor,
     u2: &Tensor,
 ) -> Tensor {
-    let [m, k, _, _, n] = factored_dims(x, u1, core, u2);
+    let [m, k, n] = factored_dims(x, u1, core, u2);
     let mut y = Tensor::zeros(&[m, n]);
     with_factors(dtype, m, [u1, core, u2], |factors| {
         let x = MatRef::new(x.data(), m, k);
-        factored_driver(backend, dtype, &x, factors, y.data_mut(), None);
+        factored_driver(backend, dtype, &x, factors, y.data_mut());
     });
     y
-}
-
-/// [`factored_matmul`] that also returns the stage intermediates
-/// `(y, h1, h2)` — the training forward pass needs `h1 = x·U1` and
-/// `h2 = h1·Γ` for the backward pass, so the stages write rows straight
-/// into full tensors instead of transient scratch. Stage values (and `y`)
-/// are bit-identical to [`factored_matmul`].
-pub fn factored_matmul_caches(
-    x: &Tensor,
-    u1: &Tensor,
-    core: &Tensor,
-    u2: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let backend = Backend::active();
-    let dtype = KernelDtype::active();
-    let [m, k, r1, r2, n] = factored_dims(x, u1, core, u2);
-    let mut y = Tensor::zeros(&[m, n]);
-    let mut h1 = Tensor::zeros(&[m, r1]);
-    let mut h2 = Tensor::zeros(&[m, r2]);
-    with_factors(dtype, m, [u1, core, u2], |factors| {
-        let x = MatRef::new(x.data(), m, k);
-        let caches = Some((h1.data_mut(), h2.data_mut()));
-        factored_driver(backend, dtype, &x, factors, y.data_mut(), caches);
-    });
-    (y, h1, h2)
 }
 
 /// Mode-`n` tensor–matrix product: contracts mode `mode` of `t` with the
@@ -1115,26 +1066,27 @@ mod tests {
     }
 
     #[test]
-    fn fused_caches_match_unfused_stages() {
+    fn fused_stages_match_per_stage_gemm_at_every_dtype() {
+        // `FactoredLinear::backward` recomputes `h1 = x·U1` and `h2 = h1·Γ`
+        // with `gemm` at the fused forward's panel dtype; its gradients are
+        // exact only if those stages carry the fused pass's bits.
         let mut rng = Rng64::new(37);
-        let x = Tensor::randn(&[40, 60], &mut rng);
-        let u1 = Tensor::randn(&[60, 8], &mut rng);
-        let core = Tensor::randn(&[8, 8], &mut rng);
-        let u2 = Tensor::randn(&[8, 50], &mut rng);
-        let (y, h1, h2) = factored_matmul_caches(&x, &u1, &core, &u2);
-        let h1_want = matmul(&x, &u1);
-        let h2_want = matmul(&h1_want, &core);
-        let y_want = matmul(&h2_want, &u2);
-        if KernelDtype::active() == KernelDtype::F32 {
-            assert_eq!(h1, h1_want);
-            assert_eq!(h2, h2_want);
-            assert_eq!(y, y_want);
-        } else {
-            // The bound is relative: three chained GEMMs grow the output to
-            // ~|x||u1||core||u2| magnitude, so scale by the reference's
-            // largest entry instead of comparing absolutely.
-            let tol = KernelDtype::active().gemm_rel_tol() * 8.0 * y_want.max_abs().max(1.0);
-            assert!(y.sub(&y_want).map(|d| d.max_abs() < tol).unwrap_or(false));
+        for (m, k, r, n) in [
+            (1usize, 40usize, 1usize, 112usize),
+            (40, 60, 8, 50),
+            (MC + 10, 112, 5, 40),
+        ] {
+            let x = Tensor::randn(&[m, k], &mut rng);
+            let u1 = Tensor::randn(&[k, r], &mut rng);
+            let core = Tensor::randn(&[r, r], &mut rng);
+            let u2 = Tensor::randn(&[r, n], &mut rng);
+            for dtype in [KernelDtype::F32, KernelDtype::Bf16, KernelDtype::F16] {
+                let backend = Backend::active();
+                let stage = |a: &Tensor, b: &Tensor| gemm(backend, dtype, Trans::No, a, b);
+                let want = stage(&stage(&stage(&x, &u1), &core), &u2);
+                let got = factored_matmul_with(backend, dtype, &x, &u1, &core, &u2);
+                assert_eq!(got, want, "({m},{k},{r},{n}) {dtype:?}");
+            }
         }
     }
 

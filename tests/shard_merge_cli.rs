@@ -85,6 +85,27 @@ fn invalid_shard_specs_exit_2_naming_flag_and_value() {
 }
 
 #[test]
+fn out_of_range_deadlines_exit_2_naming_flag_and_value() {
+    for bad in ["1e300", "1e20", "0", "-1", "inf", "NaN"] {
+        let out = repro()
+            .args(["table2", "--deadline-s", bad])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--deadline-s {bad:?} must exit 2, got {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--deadline-s") && stderr.contains(bad),
+            "stderr must name the flag and value, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn shard_on_a_non_figure_command_exits_2() {
     for cmd in [
         "optimize",
