@@ -1,67 +1,11 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro <command> [--fast] [--samples N] [--steps N] [--workers N] [--no-cache]
-//!                 [--sessions N] [--max-batch N] [--metrics PATH] [--journal PATH]
-//!                 [--resume] [--faults SPEC] [--retries N] [--deadline-s SECS]
-//!                 [--shard I/N]
-//! repro journal-merge <out> <in...>
-//!
-//! commands:
-//!   train      (re)train the tiny-Llama baseline and print its benchmark scores
-//!   table1     model size / MACs / compute-to-size ratio (ResNet50, BERT, Llama2-7B)
-//!   table2     design-space sizes (Theorem 3.2)
-//!   table4     decomposed-layer presets and their parameter reductions
-//!   fig3       accuracy vs pruned rank
-//!   fig5       accuracy vs decomposed-tensor choice
-//!   fig6       one-tensor-many-layers vs all-tensors-few-layers
-//!   fig7       per-layer sensitivity
-//!   fig8       decomposed-layer distance
-//!   fig9       accuracy vs parameter reduction (case study)
-//!   fig10      speedup vs parameter reduction (simulated 4×A100)
-//!   fig11      energy vs parameter reduction
-//!   fig12      memory vs parameter reduction
-//!   bert       BERT-side per-tensor sensitivity (Figs. 5/6 BERT panels)
-//!   baselines  low-rank vs quantization vs pruning ablation
-//!   optimize   Definition 1 design-goal search over the layer space
-//!   recovery   §6 fine-tuning recovery experiment
-//!   serve      continuous-batching load test: dense vs factored under one
-//!              deterministic traffic trace (--sessions, default 200;
-//!              --max-batch, default 32); with serve-side --faults kinds
-//!              it becomes the chaos test: injected faults are
-//!              quarantined per session, overload is shed, and the
-//!              healthy streams must stay bit-identical
-//!   all        everything above
-//!   journal-merge <out> <in...>
-//!              combine shard journals into one whose resumed table is
-//!              bit-identical to an unsharded run (exit 1 on conflicting
-//!              payloads for the same point)
-//!
-//! robustness flags:
-//!   --journal PATH    append every settled sweep point to a durable JSONL
-//!                     checkpoint (schema lrd-journal v1)
-//!   --resume          with --journal: restore journaled points instead of
-//!                     recomputing them (bit-identical to an uninterrupted run)
-//!   --faults SPEC     deterministic fault injection, e.g. svd:0.05,panic:0.01,
-//!                     nan:0.02,seed:42 (also readable from LRD_FAULTS /
-//!                     LRD_FAULTS_SEED); the serve command reads the
-//!                     serve-plane kinds nan-logits / decode-panic /
-//!                     slow-step from the same spec; a run with any fault
-//!                     kind active writes BENCH_suite.chaos.json, never
-//!                     the fault-free BENCH_suite.json, and a serve run
-//!                     with a serve-plane kind writes serve.chaos.csv,
-//!                     never the fault-free serve.csv
-//!   --retries N       per-point retry budget for transient failures (default 2)
-//!   --deadline-s S    per-point soft deadline; overrunning points settle as
-//!                     timed out (default off)
-//!   --shard I/N       compute only the sweep points shard I of N owns
-//!                     (fingerprint % N == I); figure commands only. Pair
-//!                     with --journal, run every shard, then journal-merge
-//!                     and --resume for the full table (DESIGN.md §14)
-//! ```
+//! `repro --help` lists the commands and flags. Each is stated once, in
+//! [`COMMANDS`] or [`FLAGS`]; parsing, validation, dispatch and the help
+//! text all read those two tables, so none of them can drift from what
+//! runs.
 
 use lrd_bench::{pretrained_tiny_llama, render_table, write_csv, PretrainOptions, WORLD_SEED};
-use lrd_core::executor::CacheStats;
 use lrd_core::faults::{FaultPlan, FAULTS_ENV, FAULTS_SEED_ENV};
 use lrd_core::journal::{Journal, Shard};
 use lrd_core::recovery::{recover, RecoveryOptions};
@@ -75,229 +19,370 @@ use lrd_hwsim::device::SystemSpec;
 use lrd_models::descriptor::{DType, ModelDescriptor};
 use lrd_models::zoo::{llama2_7b, table1_models};
 use lrd_nn::TransformerLm;
+use lrd_trace::json::Json;
+use lrd_trace::report::CacheInfo;
+use std::path::PathBuf;
+use Run::{All, Own, Standalone, Study, Table};
+use Set::{Switch, Value};
 
-/// Parsed command-line options.
+/// Batch per GPU and sequence length of the simulated 4×A100 workload
+/// (Figs. 10–12, `decode`, `optimize`).
+const BATCH_PER_GPU: usize = 64;
+const SEQ: usize = 128;
+/// `--fast` caps the eval samples and the training steps, which selects
+/// the cached 600-step checkpoint.
+const FAST_SAMPLES: usize = 80;
+const FAST_STEPS: usize = 600;
+/// The words that ask for the usage text.
+const HELP: [&str; 2] = ["-h", "--help"];
+
+/// One `repro` command.
+struct Command {
+    name: &'static str,
+    run: Run,
+    help: &'static str,
+    /// Operand synopsis for `--help`; its word count is the minimum number
+    /// of operands (`""`: the command takes none).
+    operands: &'static str,
+    /// `--shard` may partition its sweeps: their point lists are pure
+    /// functions of the spec fingerprints. A command that feeds sweep
+    /// output into later computation (optimize's sensitivity vector,
+    /// recovery's reference point, baselines' comparison rows) would
+    /// silently corrupt its result on a partial set.
+    shardable: bool,
+    /// `all` runs it, in table order.
+    in_all: bool,
+}
+
+/// How a command runs.
+#[derive(Clone, Copy)]
+enum Run {
+    /// Analytic, no model. Gets the command's name: fig10–12 share one
+    /// body and differ only in the CSV they write.
+    Table(fn(&Args, &str)),
+    /// On the run's one tiny-Llama study executor, built on first use, so
+    /// presets repeated across the figures of `all` hit one cache. The
+    /// executor keys journal records by the command's name.
+    Study(fn(&Args, &StudyExecutor)),
+    /// Loads its own model and adds to the suite record.
+    Own(fn(&Args, Option<&Journal>, &mut SuiteRecord)),
+    /// Runs on the operands before anything else; the process exits with
+    /// the returned code.
+    Standalone(fn(&[String]) -> i32),
+    /// Every command marked `in_all`, in table order.
+    All,
+}
+
+const fn cmd(
+    name: &'static str,
+    in_all: bool,
+    shardable: bool,
+    run: Run,
+    help: &'static str,
+) -> Command {
+    Command {
+        name,
+        run,
+        help,
+        operands: "",
+        shardable,
+        in_all,
+    }
+}
+
+/// No command on the line means the first entry, `all`.
+impl Default for &'static Command {
+    fn default() -> Self {
+        &COMMANDS[0]
+    }
+}
+
+/// Every command, in `--help` order.
+#[rustfmt::skip]
+const COMMANDS: [Command; 22] = [
+    //  name         in all shard  runner                 help
+    cmd("all",       false, false, All,                   "the default; runs, in order:"),
+    cmd("table1",    true,  false, Table(cmd_table1),     "model size, MACs, compute-to-size ratio"),
+    cmd("table2",    true,  false, Table(cmd_table2),     "design-space sizes (Theorem 3.2)"),
+    cmd("table4",    true,  false, Table(cmd_table4),     "decomposed-layer presets"),
+    cmd("train",     true,  false, Study(cmd_train),      "(re)train the tiny-Llama and score it"),
+    cmd("fig3",      true,  true,  Study(cmd_fig3),       "accuracy vs pruned rank"),
+    cmd("fig5",      true,  true,  Study(cmd_fig5),       "accuracy vs decomposed-tensor choice"),
+    cmd("fig6",      true,  true,  Study(cmd_fig6),       "one tensor in all layers vs all in few"),
+    cmd("fig7",      true,  true,  Study(cmd_fig7),       "per-layer sensitivity"),
+    cmd("fig8",      true,  true,  Study(cmd_fig8),       "decomposed-layer distance"),
+    cmd("fig9",      true,  true,  Study(cmd_fig9),       "accuracy vs parameter reduction"),
+    cmd("fig10",     true,  false, Table(cmd_efficiency), "speedup vs parameter reduction (4×A100)"),
+    cmd("fig11",     false, false, Table(cmd_efficiency), "energy vs parameter reduction (4×A100)"),
+    cmd("fig12",     false, false, Table(cmd_efficiency), "memory vs parameter reduction (4×A100)"),
+    cmd("bert",      true,  true,  Own(cmd_bert),         "BERT per-tensor sensitivity (Figs. 5/6)"),
+    cmd("recovery",  true,  false, Study(cmd_recovery),   "§6 fine-tuning recovery"),
+    cmd("serve",     true,  false, Own(cmd_serve),        "continuous-batching load test, dense\n\
+                                                           vs factored; with serve-plane --faults\n\
+                                                           kinds, the chaos test"),
+    cmd("spectra",   false, false, Study(cmd_spectra),    "weight spectra: why rank 1 works"),
+    cmd("decode",    false, false, Table(cmd_decode),     "decode-phase latency sweep (4×A100)"),
+    cmd("baselines", false, false, Study(cmd_baselines),  "low-rank vs quantization vs pruning"),
+    cmd("optimize",  false, false, Study(cmd_optimize),   "Definition 1 design-goal search"),
+    Command { operands: "<out> <in...>", ..cmd("journal-merge", false, false,
+        Standalone(run_journal_merge), "combine shard journals into one whose resumed table\n\
+                                        is bit-identical to an unsharded run (exit 1 on a\n\
+                                        conflict)") },
+];
+
+/// One `repro` flag.
+struct Flag {
+    name: &'static str,
+    set: Set,
+    help: &'static str,
+}
+
+/// How a flag takes effect.
+#[derive(Clone, Copy)]
+enum Set {
+    /// A switch: starts off, takes no value.
+    Switch(fn(&mut Args)),
+    /// A value: its `--help` placeholder, the default parsing starts from
+    /// (`""` leaves the field unset), and its parser (`Err`: the reason).
+    Value(
+        &'static str,
+        &'static str,
+        fn(&mut Args, &str) -> Result<(), String>,
+    ),
+}
+
+/// Every flag, in `--help` order.
+#[rustfmt::skip]
+const FLAGS: [Flag; 14] = [
+    Flag { name: "--fast", set: Switch(|a| a.fast = true),
+           help: "cap eval samples at 80 and training steps at 600\n\
+                  (the cached 600-step checkpoint)" },
+    Flag { name: "--samples", set: Value("N", "200", |a, v| number(v).map(|n| a.samples = n)),
+           help: "eval samples per benchmark" },
+    Flag { name: "--steps", set: Value("N", "2500", |a, v| number(v).map(|n| a.steps = n)),
+           help: "tiny-Llama training steps, one cached checkpoint per\ncount" },
+    Flag { name: "--workers", set: Value("N", "0", |a, v| number(v).map(|n| a.workers = n)),
+           help: "sweep worker-pool size\n(0: derive from the thread budget)" },
+    Flag { name: "--no-cache", set: Switch(|a| a.no_cache = true),
+           help: "disable the decomposition cache (A/B baseline)" },
+    Flag { name: "--sessions", set: Value("N", "200", |a, v| positive(v).map(|n| a.sessions = n)),
+           help: "serve: sessions in the traffic trace" },
+    Flag { name: "--max-batch", set: Value("N", "32", |a, v| positive(v).map(|n| a.max_batch = n)),
+           help: "serve: in-flight sessions per decode batch" },
+    Flag { name: "--metrics", set: Value("PATH", "", |a, v| { a.metrics = Some(v.into()); Ok(()) }),
+           help: "also write the lrd-metrics telemetry document" },
+    Flag { name: "--journal", set: Value("PATH", "", |a, v| { a.journal = Some(v.into()); Ok(()) }),
+           help: "append each settled sweep point to a durable\nJSONL journal" },
+    Flag { name: "--resume", set: Switch(|a| a.resume = true),
+           help: "with --journal: restore journaled points instead of\n\
+                  recomputing them (bit-identical)" },
+    Flag { name: "--faults",
+           set: Value("SPEC", "", |a, v| FaultPlan::parse(v).map(|p| a.faults = p)),
+           help: "deterministic fault injection, e.g. svd:0.05,nan:0.02,\n\
+                  seed:42 (serve: nan-logits, decode-panic, slow-step);\n\
+                  unset: $LRD_FAULTS. $LRD_FAULTS_SEED sets the seed. Any\n\
+                  active kind writes the .chaos. suite and serve CSV" },
+    Flag { name: "--retries", set: Value("N", "2", |a, v| number(v).map(|n| a.retries = n)),
+           help: "per-point retry budget (transient failures)" },
+    Flag { name: "--deadline-s",
+           set: Value("SECS", "", |a, v| deadline(v).map(|d| a.deadline = Some(d))),
+           help: "per-point soft deadline; late points settle as\ntimed out" },
+    Flag { name: "--shard", set: Value("I/N", "", |a, v| Shard::parse(v).map(|s| a.shard = Some(s))),
+           help: "compute only the sweep points shard I of N owns\n\
+                  (fingerprint % N == I); then journal-merge the\n\
+                  shards' journals and --resume (DESIGN.md §14)" },
+];
+
+/// A strictly parsed number: a malformed value is an error, never a
+/// silent fall-back to the default.
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("expected {}", std::any::type_name::<T>()))
+}
+
+fn positive(value: &str) -> Result<usize, String> {
+    match number(value)? {
+        0 => Err("must be ≥ 1".into()),
+        n => Ok(n),
+    }
+}
+
+fn deadline(value: &str) -> Result<std::time::Duration, String> {
+    match std::time::Duration::try_from_secs_f64(number(value)?) {
+        Ok(d) if !d.is_zero() => Ok(d),
+        _ => Err("must be positive and below 1.8e19 seconds".into()),
+    }
+}
+
+/// The parsed command line.
+#[derive(Default)]
 struct Args {
-    command: String,
+    command: &'static Command,
+    /// Operands after the command (`journal-merge` only).
+    operands: Vec<String>,
+    fast: bool,
     samples: usize,
     steps: usize,
-    seq: usize,
-    batch_per_gpu: usize,
     /// Sweep worker-pool size (0 = derive from the thread budget).
     workers: usize,
-    /// Serving sessions in the `serve` command's traffic trace.
     sessions: usize,
-    /// Maximum in-flight sessions per decode batch (`serve` command).
     max_batch: usize,
-    /// Disables the decomposition cache (A/B the sequential seed path).
     no_cache: bool,
-    /// Where to write the full telemetry document (spans, counters, GEMM
-    /// matrix), if requested.
-    metrics: Option<std::path::PathBuf>,
-    /// Durable JSONL journal of settled sweep points, if requested.
-    journal: Option<std::path::PathBuf>,
-    /// Restore journaled points instead of recomputing them.
+    metrics: Option<PathBuf>,
+    journal: Option<PathBuf>,
     resume: bool,
-    /// Deterministic fault-injection plan (no-fault by default).
     faults: FaultPlan,
-    /// Per-point retry budget for transient failures.
     retries: u32,
-    /// Per-point soft deadline.
     deadline: Option<std::time::Duration>,
-    /// Restrict sweeps to the points this shard owns.
     shard: Option<Shard>,
-    /// Positional arguments after the command (`journal-merge` only).
-    positionals: Vec<String>,
 }
 
-/// Commands whose sweeps may be sharded: their point lists are pure
-/// functions of the spec fingerprints, so `--shard` partitions them
-/// cleanly. The other commands either have no sweep or feed sweep output
-/// into downstream computation (optimize's sensitivity vector, recovery's
-/// reference point, baselines' comparison rows) where a partial set would
-/// silently corrupt the result.
-const SHARDABLE_COMMANDS: [&str; 7] = ["fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "bert"];
-
-/// Takes the value following `flag`, exiting with an error if it is absent.
-fn flag_value<'v>(argv: &'v [String], i: usize, flag: &str) -> &'v str {
-    argv.get(i).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    })
+/// Why [`parse_args`] returned no [`Args`].
+#[derive(Debug)]
+enum CliError {
+    /// `-h` / `--help`: `main` prints [`usage`] and exits 0.
+    Help,
+    /// A refused command line: the offending token (an argv word, or an
+    /// environment variable) and why. `main` prints both and exits 2.
+    Invalid { token: String, reason: String },
 }
 
-/// Strictly parses a flag's value: a malformed value is an error naming
-/// the flag and the offending text, never a silent fall-back to the
-/// default.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value for {flag}: {value:?}");
-        std::process::exit(2);
-    })
+fn invalid(token: &str, reason: String) -> CliError {
+    let token = token.to_string();
+    CliError::Invalid { token, reason }
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = String::new();
-    let mut samples = 200usize;
-    let mut steps = 2500usize;
-    let mut workers = 0usize;
-    let mut sessions = 200usize;
-    let mut max_batch = 32usize;
-    let mut no_cache = false;
-    let mut metrics = None;
-    let mut fast = false;
-    let mut journal = None;
-    let mut resume = false;
-    let mut faults_spec: Option<String> = None;
-    let mut retries = 2u32;
-    let mut deadline = None;
-    let mut shard = None;
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--fast" => fast = true,
-            "--samples" => {
-                i += 1;
-                samples = parse_value("--samples", flag_value(&argv, i, "--samples"));
-            }
-            "--steps" => {
-                i += 1;
-                steps = parse_value("--steps", flag_value(&argv, i, "--steps"));
-            }
-            "--workers" => {
-                i += 1;
-                workers = parse_value("--workers", flag_value(&argv, i, "--workers"));
-            }
-            "--sessions" => {
-                i += 1;
-                sessions = parse_value("--sessions", flag_value(&argv, i, "--sessions"));
-                if sessions == 0 {
-                    eprintln!("invalid value for --sessions: \"0\" (must be ≥ 1)");
-                    std::process::exit(2);
-                }
-            }
-            "--max-batch" => {
-                i += 1;
-                max_batch = parse_value("--max-batch", flag_value(&argv, i, "--max-batch"));
-                if max_batch == 0 {
-                    eprintln!("invalid value for --max-batch: \"0\" (must be ≥ 1)");
-                    std::process::exit(2);
-                }
-            }
-            "--no-cache" => no_cache = true,
-            "--metrics" => {
-                i += 1;
-                metrics = Some(std::path::PathBuf::from(flag_value(&argv, i, "--metrics")));
-            }
-            "--journal" => {
-                i += 1;
-                journal = Some(std::path::PathBuf::from(flag_value(&argv, i, "--journal")));
-            }
-            "--resume" => resume = true,
-            "--faults" => {
-                i += 1;
-                faults_spec = Some(flag_value(&argv, i, "--faults").to_string());
-            }
-            "--retries" => {
-                i += 1;
-                retries = parse_value("--retries", flag_value(&argv, i, "--retries"));
-            }
-            "--deadline-s" => {
-                i += 1;
-                let value = flag_value(&argv, i, "--deadline-s");
-                let secs: f64 = parse_value("--deadline-s", value);
-                match std::time::Duration::try_from_secs_f64(secs) {
-                    Ok(d) if secs > 0.0 => deadline = Some(d),
-                    _ => {
-                        eprintln!(
-                            "invalid value for --deadline-s: {value:?} (must be positive and below 1.8e19 seconds)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--shard" => {
-                i += 1;
-                let value = flag_value(&argv, i, "--shard");
-                shard = Some(Shard::parse(value).unwrap_or_else(|e| {
-                    eprintln!("invalid value for --shard: {value:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            c if command.is_empty() && !c.starts_with('-') => command = c.to_string(),
-            p if !p.starts_with('-') && command == "journal-merge" => {
-                positionals.push(p.to_string());
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if command == "journal-merge" && positionals.len() < 2 {
-        eprintln!("journal-merge requires an output path and at least one input journal: repro journal-merge <out> <in...>");
-        std::process::exit(2);
-    }
-    if resume && journal.is_none() {
-        eprintln!("--resume requires --journal <path>");
-        std::process::exit(2);
-    }
-    // Resolve the fault plan up front so a typo'd spec aborts the run
-    // instead of silently disabling (or mis-shaping) the chaos test.
-    let faults = match &faults_spec {
-        Some(spec) => {
-            let mut plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
-                eprintln!("invalid value for --faults: {e}");
-                std::process::exit(2);
-            });
-            if let Ok(seed) = std::env::var(FAULTS_SEED_ENV) {
-                plan.seed = parse_value(FAULTS_SEED_ENV, &seed);
-            }
-            plan
-        }
-        None => FaultPlan::from_env().unwrap_or_else(|e| {
-            eprintln!("invalid {FAULTS_ENV}: {e}");
-            std::process::exit(2);
-        }),
+/// Parses `argv` (without the program name). Each value flag starts at
+/// its [`FLAGS`] default; `LRD_FAULTS` from `env` stands in for an absent
+/// `--faults` and `LRD_FAULTS_SEED` overrides the plan's seed. Pure:
+/// nothing is printed and nothing exits.
+fn parse_args(argv: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Args, CliError> {
+    let bad_value = |token: &str, value: &str, reason| {
+        invalid(token, format!("invalid value {value:?} ({reason})"))
     };
-    if fast {
-        samples = samples.min(80);
-        steps = steps.min(600);
+    let mut args = Args::default();
+    for flag in &FLAGS {
+        if let Value(_, default, set) = flag.set {
+            if !default.is_empty() {
+                set(&mut args, default).map_err(|r| bad_value(flag.name, default, r))?;
+            }
+        }
     }
-    if command.is_empty() {
-        command = "all".into();
+    if let Some(spec) = env(FAULTS_ENV) {
+        args.faults = FaultPlan::parse(&spec).map_err(|r| bad_value(FAULTS_ENV, &spec, r))?;
     }
-    if shard.is_some() && !SHARDABLE_COMMANDS.contains(&command.as_str()) {
-        eprintln!(
-            "--shard applies only to figure sweeps ({}), not {command:?}",
-            SHARDABLE_COMMANDS.join(", ")
-        );
-        std::process::exit(2);
+    let mut command = None;
+    let mut seen = [false; FLAGS.len()];
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if HELP.contains(&word.as_str()) {
+            return Err(CliError::Help);
+        }
+        if let Some(i) = FLAGS.iter().position(|f| f.name == word) {
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(invalid(word, "given more than once".into()));
+            }
+            match FLAGS[i].set {
+                Switch(set) => set(&mut args),
+                Value(metavar, _, set) => {
+                    let value = words
+                        .next()
+                        .ok_or_else(|| invalid(word, format!("requires a value {metavar}")))?;
+                    set(&mut args, value).map_err(|r| bad_value(word, value, r))?;
+                }
+            }
+        } else if word.starts_with('-') || command.is_some_and(|c: &Command| c.operands.is_empty())
+        {
+            return Err(invalid(word, "unknown argument".into()));
+        } else if command.is_some() {
+            args.operands.push(word.clone());
+        } else {
+            let found = COMMANDS.iter().find(|c| c.name == word);
+            command = Some(found.ok_or_else(|| invalid(word, "unknown command".into()))?);
+        }
     }
-    if shard.is_some() && journal.is_none() {
-        eprintln!("[repro] warning: --shard without --journal: this shard's results cannot be merged later");
+    if let Some(seed) = env(FAULTS_SEED_ENV) {
+        args.faults.seed = number(&seed).map_err(|r| bad_value(FAULTS_SEED_ENV, &seed, r))?;
     }
-    Args {
-        command,
-        samples,
-        steps,
-        seq: 128,
-        batch_per_gpu: 64,
-        workers,
-        sessions,
-        max_batch,
-        no_cache,
-        metrics,
-        journal,
-        resume,
-        faults,
-        retries,
-        deadline,
-        shard,
-        positionals,
+    args.command = command.unwrap_or_default();
+    let (name, synopsis) = (args.command.name, args.command.operands);
+    if args.operands.len() < synopsis.split_whitespace().count() {
+        return Err(invalid(name, format!("requires operands {synopsis}")));
+    }
+    if args.resume && args.journal.is_none() {
+        return Err(invalid("--resume", "requires --journal PATH".into()));
+    }
+    if args.shard.is_some() && !args.command.shardable {
+        let sweeps = names(|c| c.shardable).join(", ");
+        let reason = format!("applies only to figure sweeps ({sweeps}), not {name:?}");
+        return Err(invalid("--shard", reason));
+    }
+    if args.fast {
+        args.samples = args.samples.min(FAST_SAMPLES);
+        args.steps = args.steps.min(FAST_STEPS);
+    }
+    Ok(args)
+}
+
+/// The names of the commands `keep` selects, in table order.
+fn names(keep: fn(&Command) -> bool) -> Vec<&'static str> {
+    COMMANDS
+        .iter()
+        .filter(|c| keep(c))
+        .map(|c| c.name)
+        .collect()
+}
+
+/// The `--help` text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "repro: regenerates the paper's tables and figures. Each command writes its\n\
+         CSVs under artifacts/ and a BENCH_suite.json record.\n\n\
+         usage: repro [COMMAND] [FLAG...]\n       repro -h | --help\n\ncommands:\n",
+    );
+    for c in &COMMANDS {
+        let mut help = c.help.to_string();
+        if matches!(c.run, All) {
+            for members in names(|m| m.in_all).chunks(7) {
+                help = format!("{help}\n{}", members.join(" "));
+            }
+        }
+        if c.shardable {
+            help.push_str(" [shardable]");
+        }
+        help_row(&mut out, &format!("{} {}", c.name, c.operands), &help);
+    }
+    out.push_str("\nflags:\n");
+    for f in &FLAGS {
+        match f.set {
+            Switch(_) => help_row(&mut out, f.name, f.help),
+            Value(metavar, "", _) => help_row(&mut out, &format!("{} {metavar}", f.name), f.help),
+            Value(metavar, default, _) => help_row(
+                &mut out,
+                &format!("{} {metavar}", f.name),
+                &format!("{} (default {default})", f.help),
+            ),
+        }
+    }
+    out
+}
+
+/// Appends one `--help` row: the term, then each line of its help aligned
+/// in one column (on the next line when the term is too wide).
+fn help_row(out: &mut String, term: &str, help: &str) {
+    const COLUMN: usize = 24;
+    let term = format!("  {}", term.trim_end());
+    let mut lead = if term.len() < COLUMN {
+        format!("{term:<COLUMN$}")
+    } else {
+        format!("{term}\n{:COLUMN$}", "")
+    };
+    for line in help.lines() {
+        out.push_str(&lead);
+        out.push_str(line.trim());
+        out.push('\n');
+        lead = " ".repeat(COLUMN);
     }
 }
 
@@ -322,15 +407,10 @@ fn mc_benches() -> Vec<DynBenchmark> {
     ]
 }
 
-/// All seven benchmarks (case study, Fig. 9).
-fn all_benches() -> Vec<DynBenchmark> {
-    let mut b = mc_benches();
-    b.push(Box::new(tasks::Gsm8k));
-    b
-}
-
-fn bench_names(benches: &[DynBenchmark]) -> Vec<&'static str> {
-    benches.iter().map(|b| b.name()).collect()
+/// Prints a table and writes it as `artifacts/<csv>`.
+fn emit_table(csv: &str, headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
+    write_csv(csv, headers, rows);
 }
 
 /// Set when a printed figure had *every* point fail; drives the process
@@ -349,7 +429,7 @@ static ACTIVE_SHARD: std::sync::OnceLock<Shard> = std::sync::OnceLock::new();
 fn print_study(title: &str, csv: &str, points: &[StudyPoint], benches: &[DynBenchmark]) {
     println!("\n=== {title} ===");
     let mut headers: Vec<&str> = vec!["config", "param-red %"];
-    let names = bench_names(benches);
+    let names: Vec<&str> = benches.iter().map(|b| b.name()).collect();
     headers.extend(names.iter().copied());
     headers.push("mean");
     let rows: Vec<Vec<String>> = points
@@ -409,7 +489,7 @@ fn baseline_row(exec: &StudyExecutor, benches: &[DynBenchmark]) -> Vec<StudyPoin
     )
 }
 
-fn cmd_table1() {
+fn cmd_table1(_args: &Args, _name: &str) {
     println!("\n=== Table 1: model size, computations, compute-to-model-size ratio ===");
     let rows: Vec<Vec<String>> = table1_models()
         .iter()
@@ -437,15 +517,14 @@ fn cmd_table1() {
         })
         .collect();
     let headers = ["Model", "Type", "Size (FP16)", "MACs", "MACs/byte"];
-    print!("{}", render_table(&headers, &rows));
+    emit_table("table1.csv", &headers, &rows);
     println!(
         "(paper reports ResNet50 at 8.21 B computations = 2 FLOPs/MAC; \
          see EXPERIMENTS.md)"
     );
-    write_csv("table1.csv", &headers, &rows);
 }
 
-fn cmd_table2() {
+fn cmd_table2(_args: &Args, _name: &str) {
     println!("\n=== Table 2: decomposition design-space sizes (Theorem 3.2) ===");
     let rows: Vec<Vec<String>> = table2()
         .iter()
@@ -460,11 +539,10 @@ fn cmd_table2() {
         })
         .collect();
     let headers = ["Model", "# layers", "# tensors", "Scale", "Exact size"];
-    print!("{}", render_table(&headers, &rows));
-    write_csv("table2.csv", &headers, &rows);
+    emit_table("table2.csv", &headers, &rows);
 }
 
-fn cmd_table4() {
+fn cmd_table4(_args: &Args, _name: &str) {
     println!("\n=== Table 4: decomposed-layer presets (Llama2-7B, rank 1, all tensors) ===");
     let desc = llama2_7b();
     let rows: Vec<Vec<String>> = table4_presets()
@@ -482,8 +560,7 @@ fn cmd_table4() {
         })
         .collect();
     let headers = ["Preset", "Published", "Computed", "Layers (1-based)"];
-    print!("{}", render_table(&headers, &rows));
-    write_csv("table4.csv", &headers, &rows);
+    emit_table("table4.csv", &headers, &rows);
 }
 
 fn load_model(args: &Args) -> (TransformerLm, World) {
@@ -535,11 +612,7 @@ fn open_journal(args: &Args) -> Option<Journal> {
             "[repro] resuming from {}: {} settled point(s) loaded{}",
             path.display(),
             journal.len(),
-            if journal.dropped_lines() > 0 {
-                format!(", {} torn/foreign line(s) dropped", journal.dropped_lines())
-            } else {
-                String::new()
-            }
+            dropped_note(journal.dropped_lines())
         );
     }
     Some(journal)
@@ -559,12 +632,10 @@ fn cmd_train(args: &Args, exec: &StudyExecutor) {
         })
         .collect();
     let headers = ["Benchmark", "Accuracy %", "Correct"];
-    print!("{}", render_table(&headers, &rows));
-    write_csv("baseline.csv", &headers, &rows);
+    emit_table("baseline.csv", &headers, &rows);
 }
 
 fn cmd_fig3(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig3");
     let benches = mc_benches();
     // Paper ranks {500, 250, 1} out of 4096 ≈ {5, 2, 1} out of the tiny
     // model's 40.
@@ -585,7 +656,6 @@ fn cmd_fig3(_args: &Args, exec: &StudyExecutor) {
 }
 
 fn cmd_fig5(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig5");
     let benches = mc_benches();
     let mut points = baseline_row(exec, &benches);
     points.extend(exec.tensor_choice(&benches));
@@ -598,7 +668,6 @@ fn cmd_fig5(_args: &Args, exec: &StudyExecutor) {
 }
 
 fn cmd_fig6(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig6");
     let benches = mc_benches();
     let n_layers = exec.base().config().n_layers;
     // Case 1 (~8%): one attention tensor in all layers vs all tensors in 3
@@ -632,7 +701,6 @@ fn cmd_fig6(_args: &Args, exec: &StudyExecutor) {
 }
 
 fn cmd_fig7(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig7");
     let benches = mc_benches();
     let points = exec.layer_sensitivity(&benches);
     print_study(
@@ -649,7 +717,6 @@ fn cmd_fig7(_args: &Args, exec: &StudyExecutor) {
 }
 
 fn cmd_fig8(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig8");
     let benches = mc_benches();
     let points = exec.layer_distance(&benches, &[1, 2, 3, 6], 5, 4);
     print_study(
@@ -661,8 +728,9 @@ fn cmd_fig8(_args: &Args, exec: &StudyExecutor) {
 }
 
 fn cmd_fig9(_args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("fig9");
-    let benches = all_benches();
+    // All seven benchmarks: the six multiple-choice ones plus GSM8K.
+    let mut benches = mc_benches();
+    benches.push(Box::new(tasks::Gsm8k));
     let mut points = baseline_row(exec, &benches);
     points.extend(exec.case_study(&benches));
     print_study(
@@ -673,13 +741,12 @@ fn cmd_fig9(_args: &Args, exec: &StudyExecutor) {
     );
 }
 
-fn cmd_efficiency(args: &Args, which: &str) {
+fn cmd_efficiency(_args: &Args, which: &str) {
     let sys = SystemSpec::quad_a100();
     let desc = llama2_7b();
-    let points = efficiency_sweep(&sys, &desc, args.batch_per_gpu, args.seq);
+    let points = efficiency_sweep(&sys, &desc, BATCH_PER_GPU, SEQ);
     println!(
-        "\n=== Figs. 10–12: simulated efficiency on 4×A100 (batch/GPU {}, seq {}) ===",
-        args.batch_per_gpu, args.seq
+        "\n=== Figs. 10–12: simulated efficiency on 4×A100 (batch/GPU {BATCH_PER_GPU}, seq {SEQ}) ==="
     );
     let headers = [
         "Preset",
@@ -706,8 +773,7 @@ fn cmd_efficiency(args: &Args, which: &str) {
             ]
         })
         .collect();
-    print!("{}", render_table(&headers, &rows));
-    write_csv(&format!("{which}.csv"), &headers, &rows);
+    emit_table(&format!("{which}.csv"), &headers, &rows);
     // Per-percent slopes (the paper's headline ~0.5/0.5/0.4).
     if let Some(last) = points
         .iter()
@@ -726,7 +792,7 @@ fn cmd_efficiency(args: &Args, which: &str) {
 /// BERT-side characterization (the BERT panels of Figs. 5/6): per-tensor
 /// sensitivity of the MLM-trained encoder on the cloze probe. The paper's
 /// observation to reproduce: `W_Int` is the most sensitive BERT tensor.
-fn cmd_bert(args: &Args, journal: Option<&Journal>) -> (CacheStats, usize) {
+fn cmd_bert(args: &Args, journal: Option<&Journal>, record: &mut SuiteRecord) {
     // The 12-layer encoder converges in roughly half the decoder's budget.
     let opts = PretrainOptions {
         steps: (args.steps / 2).max(300),
@@ -744,7 +810,7 @@ fn cmd_bert(args: &Args, journal: Option<&Journal>) -> (CacheStats, usize) {
         &points,
         &benches,
     );
-    (exec.cache_stats(), exec.cached_factors())
+    record.add_cache(&exec);
 }
 
 /// Spectral analysis of the trained weights: why rank-1 works (Fig. 3's
@@ -769,40 +835,26 @@ fn cmd_spectra(_args: &Args, exec: &StudyExecutor) {
             let group: Vec<_> = spectra.iter().filter(|s| s.tensor == n).collect();
             let eff = group.iter().map(|s| s.effective_rank()).sum::<f64>() / group.len() as f64;
             let maxr = group[0].singular_values.len();
-            vec![
-                n.to_string(),
-                format!(
-                    "{:.3}",
-                    lrd_core::spectra::mean_energy_by_tensor(&spectra, n, 1)
-                ),
-                format!(
-                    "{:.3}",
-                    lrd_core::spectra::mean_energy_by_tensor(&spectra, n, 2)
-                ),
-                format!(
-                    "{:.3}",
-                    lrd_core::spectra::mean_energy_by_tensor(&spectra, n, 5)
-                ),
-                format!("{eff:.1}"),
-                format!("{maxr}"),
-            ]
+            let mut row = vec![n.to_string()];
+            for rank in [1, 2, 5] {
+                let energy = lrd_core::spectra::mean_energy_by_tensor(&spectra, n, rank);
+                row.push(format!("{energy:.3}"));
+            }
+            row.extend([format!("{eff:.1}"), format!("{maxr}")]);
+            row
         })
         .collect();
-    print!("{}", render_table(&headers, &rows));
-    write_csv("spectra.csv", &headers, &rows);
+    emit_table("spectra.csv", &headers, &rows);
 }
 
 /// Extension beyond the paper: decode-phase (single-token generation)
 /// latency sweep, where weight streaming dominates and low-rank savings
 /// approach the parameter reduction 1:1.
-fn cmd_decode(args: &Args) {
+fn cmd_decode(_args: &Args, _name: &str) {
     let sys = SystemSpec::quad_a100();
     let desc = llama2_7b();
-    let points = study::decode_sweep(&sys, &desc, args.batch_per_gpu, 512);
-    println!(
-        "\n=== Decode-phase sweep (batch {}, KV cache 512 tokens) ===",
-        args.batch_per_gpu
-    );
+    let points = study::decode_sweep(&sys, &desc, BATCH_PER_GPU, 512);
+    println!("\n=== Decode-phase sweep (batch {BATCH_PER_GPU}, KV cache 512 tokens) ===");
     let headers = [
         "Preset",
         "param-red %",
@@ -822,16 +874,15 @@ fn cmd_decode(args: &Args) {
             ]
         })
         .collect();
-    print!("{}", render_table(&headers, &rows));
-    write_csv("decode.csv", &headers, &rows);
+    emit_table("decode.csv", &headers, &rows);
 }
 
 /// The live counterpart of Figs. 10–12: serves the trained tiny-Llama —
 /// dense and factored at several Table-4 parameter-reduction points —
 /// under one deterministic traffic trace, and reports measured per-token
 /// latency percentiles, TTFT, aggregate tokens/s, and goodput for the
-/// continuous-batching server against the sequential baseline. Returns
-/// the `serve` section of `BENCH_suite.json` (schema v5).
+/// continuous-batching server against the sequential baseline, and
+/// records them as the `serve` section of `BENCH_suite.json`.
 ///
 /// With serve-plane fault kinds in `--faults` this becomes the chaos
 /// test: graceful degradation (bounded admission, load shedding at a
@@ -842,11 +893,10 @@ fn cmd_decode(args: &Args) {
 /// plane completes that the batched one does not must be accounted for by
 /// a permanent shed (failures and timeouts are session-local, so those
 /// sets agree across planes by construction).
-fn cmd_serve(args: &Args) -> lrd_trace::json::Json {
+fn cmd_serve(args: &Args, _journal: Option<&Journal>, record: &mut SuiteRecord) {
     use lrd_serve::{
         generate, serve, serve_sequential, ServeConfig, SessionFate, TrafficConfig, STALL_STEPS,
     };
-    use lrd_trace::json::Json;
 
     let (model, _world) = load_model(args);
     let mcfg = model.config();
@@ -992,50 +1042,36 @@ fn cmd_serve(args: &Args) -> lrd_trace::json::Json {
             ("bit_identical", Json::Bool(bit_identical)),
         ]));
     }
-    print!("{}", render_table(&headers, &rows));
     // Like the suite file: a chaos run never replaces the fault-free table.
     let csv = if chaos {
         "serve.chaos.csv"
     } else {
         "serve.csv"
     };
-    write_csv(csv, &headers, &rows);
-    Json::obj([
+    emit_table(csv, &headers, &rows);
+    // The chaos knobs read 0 when faults are off: their "off" values
+    // (u64::MAX, usize::MAX) do not survive the f64-backed JSON number,
+    // and a real knob is always ≥ 1.
+    let knob = |v: u64| Json::uint(if chaos { v } else { 0 });
+    record.serve = Some(Json::obj([
         ("sessions", Json::uint(args.sessions as u64)),
         ("trace_seed", Json::uint(TRACE_SEED)),
         ("max_batch", Json::uint(serve_cfg.max_batch as u64)),
         ("faults_active", Json::Bool(chaos)),
-        ("deadline_steps", {
-            // u64::MAX does not survive the f64-backed JSON number; encode
-            // "off" as 0 (a real deadline is always ≥ 1).
-            let d = if chaos { serve_cfg.deadline_steps } else { 0 };
-            Json::uint(d)
-        }),
-        (
-            "shed_high_water",
-            Json::uint(if chaos {
-                serve_cfg.shed_high_water as u64
-            } else {
-                0
-            }),
-        ),
+        ("deadline_steps", knob(serve_cfg.deadline_steps)),
+        ("shed_high_water", knob(serve_cfg.shed_high_water as u64)),
         (
             "max_admit_per_step",
-            Json::uint(if chaos {
-                serve_cfg.max_admit_per_step as u64
-            } else {
-                0
-            }),
+            knob(serve_cfg.max_admit_per_step as u64),
         ),
         ("variants", Json::Arr(json_variants)),
-    ])
+    ]));
 }
 
 /// Compression-family ablation: rank-1 Tucker vs int8/int4 quantization vs
 /// magnitude pruning at comparable size reductions, on the same trained
 /// model.
 fn cmd_baselines(args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("baselines");
     let benches = mc_benches();
     let opts = eval_opts(args);
     let world = exec.world();
@@ -1097,15 +1133,13 @@ fn cmd_baselines(args: &Args, exec: &StudyExecutor) {
         ]);
     }
     let headers = ["Method", "Size reduction %", "Mean accuracy %"];
-    print!("{}", render_table(&headers, &rows));
-    write_csv("baselines_comparison.csv", &headers, &rows);
+    emit_table("baselines_comparison.csv", &headers, &rows);
 }
 
 /// Definition 1 end to end: measure Fig. 7 sensitivities, build the
 /// additive predictor, and search the layer space for the minimum-EDP
 /// configuration within an accuracy-drop tolerance τ.
-fn cmd_optimize(args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("optimize");
+fn cmd_optimize(_args: &Args, exec: &StudyExecutor) {
     let benches = mc_benches();
     println!("\n=== Definition 1: design-goal optimization ===");
     let base = exec.baseline(&benches);
@@ -1127,8 +1161,7 @@ fn cmd_optimize(args: &Args, exec: &StudyExecutor) {
     ];
     let mut rows = Vec::new();
     for tau in [2.0f64, 5.0, 10.0, 20.0] {
-        match lrd_core::search::greedy_search(&sys, &desc, &sens, tau, args.batch_per_gpu, args.seq)
-        {
+        match lrd_core::search::greedy_search(&sys, &desc, &sens, tau, BATCH_PER_GPU, SEQ) {
             Some(res) => rows.push(vec![
                 format!("{tau}"),
                 format!("{} layers", res.layers.len()),
@@ -1145,12 +1178,10 @@ fn cmd_optimize(args: &Args, exec: &StudyExecutor) {
             ]),
         }
     }
-    print!("{}", render_table(&headers, &rows));
-    write_csv("optimize.csv", &headers, &rows);
+    emit_table("optimize.csv", &headers, &rows);
 }
 
 fn cmd_recovery(args: &Args, exec: &StudyExecutor) {
-    exec.set_figure("recovery");
     let benches = mc_benches();
     let opts = eval_opts(args);
     let world = exec.world();
@@ -1237,191 +1268,48 @@ fn cmd_recovery(args: &Args, exec: &StudyExecutor) {
             format!("{:.1}", mean(&after)),
         ],
     ];
-    print!("{}", render_table(&headers, &rows));
+    emit_table("recovery.csv", &headers, &rows);
     println!(
         "recovery training loss: {:.3} -> {:.3}",
         report.loss_before, report.loss_after
     );
-    write_csv("recovery.csv", &headers, &rows);
 }
 
-/// Aggregated decomposition-cache counters across every executor a run
-/// creates (the tiny-Llama executor plus BERT's).
+/// What a run adds to `BENCH_suite.json` besides its wall clock: the
+/// decomposition-cache counters summed across every executor it built
+/// (the tiny-Llama one plus BERT's), and `serve`'s section.
 #[derive(Default)]
-struct CacheAgg {
-    hits: usize,
-    misses: usize,
-    factors: usize,
+struct SuiteRecord {
+    cache: CacheInfo,
+    serve: Option<Json>,
 }
 
-impl CacheAgg {
-    fn add(&mut self, (stats, factors): (CacheStats, usize)) {
-        self.hits += stats.hits;
-        self.misses += stats.misses;
-        self.factors += factors;
-    }
-
-    fn add_exec(&mut self, exec: &StudyExecutor) {
-        self.add((exec.cache_stats(), exec.cached_factors()));
-    }
-
-    fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+impl SuiteRecord {
+    fn add_cache(&mut self, exec: &StudyExecutor) {
+        let stats = exec.cache_stats();
+        self.cache.hits += stats.hits as u64;
+        self.cache.misses += stats.misses as u64;
+        self.cache.distinct_factors += exec.cached_factors() as u64;
     }
 }
 
-/// Measures sustained GFLOP/s for each GEMM variant on representative
-/// shapes (quick calibration pass, under a second total). Returns one
-/// group per kernel storage dtype: the `f32` group covers every entry
-/// point; the `bf16`/`f16` groups cover the plain product and the fused
-/// factored pipeline at that panel dtype.
-fn kernel_gflops() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
-    use lrd_tensor::dtype::KernelDtype;
-    use lrd_tensor::kernel::Backend;
-    use lrd_tensor::matmul::{
-        factored_matmul_with, gemm, matmul, matmul_transa, matmul_transb, FactoredPlan, Trans,
-    };
-    use lrd_tensor::rng::Rng64;
-    use lrd_tensor::Tensor;
-
-    fn time_flops(flops_per_iter: f64, mut f: impl FnMut()) -> f64 {
-        f(); // warm-up (packing buffers, page faults)
-        let mut iters = 0u32;
-        let t0 = std::time::Instant::now();
-        while t0.elapsed().as_millis() < 60 {
-            f();
-            iters += 1;
-        }
-        flops_per_iter * f64::from(iters) / t0.elapsed().as_secs_f64() / 1e9
-    }
-
-    let backend = Backend::active();
-    let mut rng = Rng64::new(99);
-    let n = 256usize;
-    let a = Tensor::randn(&[n, n], &mut rng);
-    let b = Tensor::randn(&[n, n], &mut rng);
-    let flops = (2 * n * n * n) as f64;
-    // The paper's factored-linear shape: 256×256 weight at rank 64,
-    // a 128-token tile of activations.
-    let (fm, fr) = (128usize, 64usize);
-    let fx = Tensor::randn(&[fm, n], &mut rng);
-    let fu1 = Tensor::randn(&[n, fr], &mut rng);
-    let fcore = Tensor::randn(&[fr, fr], &mut rng);
-    let fu2 = Tensor::randn(&[fr, n], &mut rng);
-    let fac_flops = (2 * fm * (n * fr + fr * fr + fr * n)) as f64;
-    // Decode regime: an 8-token tile, where per-call factor packing and
-    // intermediate tensors dominate the unfused composition.
-    let dm = 8usize;
-    let dx = Tensor::randn(&[dm, n], &mut rng);
-    let dec_flops = (2 * dm * (n * fr + fr * fr + fr * n)) as f64;
-
-    let mut out = Vec::new();
-    let mut f32_group = vec![
-        (
-            "matmul_256",
-            time_flops(flops, || {
-                std::hint::black_box(matmul(&a, &b));
-            }),
-        ),
-        (
-            "matmul_transb_256",
-            time_flops(flops, || {
-                std::hint::black_box(matmul_transb(&a, &b));
-            }),
-        ),
-        (
-            "matmul_transa_256",
-            time_flops(flops, || {
-                std::hint::black_box(matmul_transa(&a, &b));
-            }),
-        ),
-        (
-            "factored_unfused_128x256_r64",
-            time_flops(fac_flops, || {
-                let h1 = matmul(&fx, &fu1);
-                let h2 = matmul(&h1, &fcore);
-                std::hint::black_box(matmul(&h2, &fu2));
-            }),
-        ),
-        (
-            "factored_unfused_8x256_r64",
-            time_flops(dec_flops, || {
-                let h1 = matmul(&dx, &fu1);
-                let h2 = matmul(&h1, &fcore);
-                std::hint::black_box(matmul(&h2, &fu2));
-            }),
-        ),
-    ];
-    for dtype in [KernelDtype::F32, KernelDtype::Bf16, KernelDtype::F16] {
-        let mut group = Vec::new();
-        if dtype != KernelDtype::F32 {
-            group.push((
-                "matmul_256",
-                time_flops(flops, || {
-                    std::hint::black_box(gemm(backend, dtype, Trans::No, &a, &b));
-                }),
-            ));
-        }
-        group.push((
-            "factored_fused_128x256_r64",
-            time_flops(fac_flops, || {
-                std::hint::black_box(factored_matmul_with(
-                    backend, dtype, &fx, &fu1, &fcore, &fu2,
-                ));
-            }),
-        ));
-        // Deployment regime: factors prepacked once, streamed many times.
-        let plan = FactoredPlan::with_dtype(dtype, &fu1, &fcore, &fu2);
-        group.push((
-            "factored_plan_128x256_r64",
-            time_flops(fac_flops, || {
-                std::hint::black_box(plan.matmul_on(backend, &fx));
-            }),
-        ));
-        group.push((
-            "factored_plan_8x256_r64",
-            time_flops(dec_flops, || {
-                std::hint::black_box(plan.matmul_on(backend, &dx));
-            }),
-        ));
-        if dtype == KernelDtype::F32 {
-            f32_group.append(&mut group);
-            out.push(("f32", std::mem::take(&mut f32_group)));
-        } else {
-            out.push((dtype.name(), group));
-        }
-    }
-    out
-}
-
-/// Records the suite's wall clock, cache effectiveness, and per-kernel
-/// GFLOP/s for the perf trajectory (`BENCH_suite.json` at the invocation
-/// directory, or `BENCH_suite.chaos.json` when a fault kind is active, so
-/// a chaos run never overwrites the fault-free record), and — when
-/// `--metrics` was given — the full telemetry document (spans, counters,
-/// GEMM matrix, events) via `lrd-trace`.
-fn write_bench_suite(
-    args: &Args,
-    wall_s: f64,
-    agg: &CacheAgg,
-    serve: Option<lrd_trace::json::Json>,
-) {
-    use lrd_trace::json::Json;
-    let backend = lrd_tensor::kernel::Backend::active();
-    let kernels = kernel_gflops();
-    let round2 = |g: f64| (g * 100.0).round() / 100.0;
+/// Records the suite's wall clock and cache effectiveness for the perf
+/// trajectory (`BENCH_suite.json` at the invocation directory, or
+/// `BENCH_suite.chaos.json` when a fault kind is active, so a chaos run
+/// never overwrites the fault-free record), and — when `--metrics` was
+/// given — the full telemetry document (spans, counters, GEMM matrix,
+/// events) via `lrd-trace`. Kernel throughput is timed by perfbench and
+/// the criterion benches, not here.
+fn write_bench_suite(args: &Args, wall_s: f64, record: SuiteRecord) {
+    let backend = lrd_tensor::kernel::Backend::active().name();
+    let cache = record.cache;
     let mut doc = Json::obj([
         ("schema", Json::str(lrd_bench::SUITE_SCHEMA_NAME)),
         (
             "schema_version",
             Json::uint(lrd_bench::SUITE_SCHEMA_VERSION),
         ),
-        ("command", Json::str(args.command.clone())),
+        ("command", Json::str(args.command.name)),
         ("wall_s", Json::num((wall_s * 1000.0).round() / 1000.0)),
         ("workers", Json::uint(args.workers as u64)),
         ("samples", Json::uint(args.samples as u64)),
@@ -1429,35 +1317,19 @@ fn write_bench_suite(
         (
             "cache",
             Json::obj([
-                ("hits", Json::uint(agg.hits as u64)),
-                ("misses", Json::uint(agg.misses as u64)),
-                ("hit_rate", Json::num(round2(agg.hit_rate()))),
-                ("distinct_factors", Json::uint(agg.factors as u64)),
+                ("hits", Json::uint(cache.hits)),
+                ("misses", Json::uint(cache.misses)),
+                (
+                    "hit_rate",
+                    Json::num((cache.hit_rate() * 100.0).round() / 100.0),
+                ),
+                ("distinct_factors", Json::uint(cache.distinct_factors)),
             ]),
         ),
-        ("kernel_backend", Json::str(backend.name())),
+        ("kernel_backend", Json::str(backend)),
         (
             "kernel_dtype",
             Json::str(lrd_tensor::dtype::KernelDtype::active().name()),
-        ),
-        (
-            "kernel_gflops",
-            Json::Obj(
-                kernels
-                    .iter()
-                    .map(|(dtype, group)| {
-                        (
-                            dtype.to_string(),
-                            Json::Obj(
-                                group
-                                    .iter()
-                                    .map(|(name, g)| (name.to_string(), Json::num(round2(*g))))
-                                    .collect(),
-                            ),
-                        )
-                    })
-                    .collect(),
-            ),
         ),
         (
             "gemm_bytes_packed",
@@ -1468,7 +1340,7 @@ fn write_bench_suite(
     ]);
     // v3: the `serve` command appends its measured serving percentiles;
     // every other command writes the suite without the section.
-    if let (Some(section), Json::Obj(pairs)) = (serve, &mut doc) {
+    if let (Some(section), Json::Obj(pairs)) = (record.serve, &mut doc) {
         pairs.push(("serve".into(), section));
     }
     let suite_path = if args.faults.is_active() {
@@ -1479,30 +1351,18 @@ fn write_bench_suite(
     match std::fs::write(suite_path, doc.render()) {
         Ok(()) => eprintln!(
             "[repro] wrote {suite_path} (wall {wall_s:.1}s, cache hit rate {:.0}%)",
-            agg.hit_rate() * 100.0
+            cache.hit_rate() * 100.0
         ),
         Err(e) => eprintln!("[repro] failed to write {suite_path}: {e}"),
     }
     if let Some(path) = &args.metrics {
         let run = lrd_trace::report::RunInfo {
-            command: args.command.clone(),
+            command: args.command.name.into(),
             wall_s,
             workers: args.workers as u64,
             samples: args.samples as u64,
             steps: args.steps as u64,
-            kernel_backend: backend.name().into(),
-            // Headline throughput: the f32 square matmul calibration shape.
-            kernel_gflops: kernels
-                .iter()
-                .find(|(d, _)| *d == "f32")
-                .and_then(|(_, g)| g.iter().find(|(n, _)| *n == "matmul_256"))
-                .map(|(_, g)| *g)
-                .unwrap_or(0.0),
-        };
-        let cache = lrd_trace::report::CacheInfo {
-            hits: agg.hits as u64,
-            misses: agg.misses as u64,
-            distinct_factors: agg.factors as u64,
+            kernel_backend: backend.into(),
         };
         match lrd_trace::report::write_metrics(path, &run, &cache) {
             Ok(()) => eprintln!("[repro] wrote metrics document to {}", path.display()),
@@ -1511,15 +1371,21 @@ fn write_bench_suite(
     }
 }
 
+/// The log suffix for `n` torn or foreign journal lines dropped.
+fn dropped_note(n: usize) -> String {
+    match n {
+        0 => String::new(),
+        n => format!(", {n} torn/foreign line(s) dropped"),
+    }
+}
+
 /// `repro journal-merge <out> <in...>`: combines shard journals into one
 /// whose resumed table is bit-identical to an unsharded run. Runs before
-/// any model work — no journal opening, no BENCH_suite.json.
-fn run_journal_merge(positionals: &[String]) -> ! {
-    let out = std::path::PathBuf::from(&positionals[0]);
-    let inputs: Vec<std::path::PathBuf> = positionals[1..]
-        .iter()
-        .map(std::path::PathBuf::from)
-        .collect();
+/// any model work — no journal opening, no BENCH_suite.json. Returns the
+/// exit code: 0 merged, 1 on a conflict or an unreadable input.
+fn run_journal_merge(operands: &[String]) -> i32 {
+    let out = PathBuf::from(&operands[0]);
+    let inputs: Vec<PathBuf> = operands[1..].iter().map(PathBuf::from).collect();
     match Journal::merge(&out, &inputs) {
         Ok((journal, report)) => {
             eprintln!(
@@ -1529,103 +1395,279 @@ fn run_journal_merge(positionals: &[String]) -> ! {
                 report.records,
                 report.inputs,
                 report.duplicates,
-                if report.dropped_lines > 0 {
-                    format!(", {} torn/foreign line(s) dropped", report.dropped_lines)
-                } else {
-                    String::new()
-                }
+                dropped_note(report.dropped_lines)
             );
-            std::process::exit(0);
+            0
         }
         Err(e) => {
             eprintln!("[repro] journal-merge failed: {e}");
-            std::process::exit(1);
+            1
         }
     }
 }
 
 fn main() {
-    let args = parse_args();
-    if args.command == "journal-merge" {
-        run_journal_merge(&args.positionals);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv, |var| std::env::var(var).ok()) {
+        Ok(args) => args,
+        Err(CliError::Help) => {
+            print!("{}", usage());
+            return;
+        }
+        Err(CliError::Invalid { token, reason }) => {
+            eprintln!("repro: {token}: {reason}\n(repro --help lists the commands and flags)");
+            std::process::exit(2);
+        }
+    };
+    if let Run::Standalone(run) = args.command.run {
+        std::process::exit(run(&args.operands));
     }
     if let Some(shard) = args.shard {
+        if args.journal.is_none() {
+            eprintln!(
+                "[repro] warning: --shard without --journal: this shard's results cannot be merged later"
+            );
+        }
         let _ = ACTIVE_SHARD.set(shard);
         eprintln!("[repro] shard {shard}: computing only owned sweep points");
     }
+    let workers = match args.workers {
+        0 => "auto".to_string(),
+        n => n.to_string(),
+    };
     eprintln!(
-        "[repro] command={} samples={} steps={} workers={} (world seed {WORLD_SEED})",
-        args.command,
-        args.samples,
-        args.steps,
-        if args.workers == 0 {
-            "auto".into()
-        } else {
-            args.workers.to_string()
-        },
+        "[repro] command={} samples={} steps={} workers={workers} (world seed {WORLD_SEED})",
+        args.command.name, args.samples, args.steps,
     );
     let t0 = std::time::Instant::now();
     let journal = open_journal(&args);
-    let mut agg = CacheAgg::default();
-    let mut serve_section = None;
-    match args.command.as_str() {
-        "table1" => cmd_table1(),
-        "table2" => cmd_table2(),
-        "table4" => cmd_table4(),
-        "fig10" | "fig11" | "fig12" => cmd_efficiency(&args, &args.command),
-        "decode" => cmd_decode(&args),
-        "serve" => serve_section = Some(cmd_serve(&args)),
-        "bert" => agg.add(cmd_bert(&args, journal.as_ref())),
-        "all" => {
-            cmd_table1();
-            cmd_table2();
-            cmd_table4();
-            // One model, one executor, one cache for every tiny-Llama
-            // figure — presets shared between figures hit the cache.
-            let (model, world) = load_model(&args);
-            let exec = executor(&model, &world, &args, journal.as_ref());
-            cmd_train(&args, &exec);
-            cmd_fig3(&args, &exec);
-            cmd_fig5(&args, &exec);
-            cmd_fig6(&args, &exec);
-            cmd_fig7(&args, &exec);
-            cmd_fig8(&args, &exec);
-            cmd_fig9(&args, &exec);
-            cmd_efficiency(&args, "fig10");
-            agg.add(cmd_bert(&args, journal.as_ref()));
-            cmd_recovery(&args, &exec);
-            serve_section = Some(cmd_serve(&args));
-            agg.add_exec(&exec);
-        }
-        cmd @ ("train" | "fig3" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "spectra"
-        | "baselines" | "optimize" | "recovery") => {
-            let (model, world) = load_model(&args);
-            let exec = executor(&model, &world, &args, journal.as_ref());
-            match cmd {
-                "train" => cmd_train(&args, &exec),
-                "fig3" => cmd_fig3(&args, &exec),
-                "fig5" => cmd_fig5(&args, &exec),
-                "fig6" => cmd_fig6(&args, &exec),
-                "fig7" => cmd_fig7(&args, &exec),
-                "fig8" => cmd_fig8(&args, &exec),
-                "fig9" => cmd_fig9(&args, &exec),
-                "spectra" => cmd_spectra(&args, &exec),
-                "baselines" => cmd_baselines(&args, &exec),
-                "optimize" => cmd_optimize(&args, &exec),
-                _ => cmd_recovery(&args, &exec),
+    let model = std::cell::OnceCell::new();
+    let exec = std::cell::OnceCell::new();
+    let mut record = SuiteRecord::default();
+    let commands: Vec<&Command> = match args.command.run {
+        Run::All => COMMANDS.iter().filter(|c| c.in_all).collect(),
+        _ => vec![args.command],
+    };
+    for command in commands {
+        match command.run {
+            Run::Table(run) => run(&args, command.name),
+            Run::Study(run) => {
+                let exec = exec.get_or_init(|| {
+                    let (model, world) = model.get_or_init(|| load_model(&args));
+                    executor(model, world, &args, journal.as_ref())
+                });
+                exec.set_figure(command.name);
+                run(&args, exec);
             }
-            agg.add_exec(&exec);
+            Run::Own(run) => run(&args, journal.as_ref(), &mut record),
+            // Standalone commands exited above, and `all` is not its own member.
+            Run::Standalone(_) | Run::All => {}
         }
-        other => {
-            eprintln!("unknown command: {other}");
-            std::process::exit(2);
-        }
+    }
+    if let Some(exec) = exec.get() {
+        record.add_cache(exec);
     }
     let wall_s = t0.elapsed().as_secs_f64();
     eprintln!("[repro] done in {wall_s:.1}s");
-    write_bench_suite(&args, wall_s, &agg, serve_section);
+    write_bench_suite(&args, wall_s, record);
     if FIGURE_ALL_FAILED.load(std::sync::atomic::Ordering::Relaxed) {
         eprintln!("[repro] exiting non-zero: at least one figure lost every point");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_string()).collect()
+    }
+
+    fn parse(words: &[&str]) -> Result<Args, CliError> {
+        parse_args(&argv(words), |_| None)
+    }
+
+    /// The token and reason of a refused command line.
+    fn refusal(words: &[&str]) -> (String, String) {
+        match parse(words) {
+            Err(CliError::Invalid { token, reason }) => (token, reason),
+            Err(CliError::Help) => panic!("{words:?} asked for help"),
+            Ok(_) => panic!("{words:?} parsed"),
+        }
+    }
+
+    #[test]
+    fn names_are_unique_and_all_is_the_default() {
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        names.extend(FLAGS.iter().map(|f| f.name));
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n, "a command or flag name repeats");
+        assert!(matches!(parse(&[]).unwrap().command.run, Run::All));
+    }
+
+    #[test]
+    fn all_runs_the_same_commands_in_the_same_order() {
+        let members: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.in_all)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(
+            members,
+            [
+                "table1", "table2", "table4", "train", "fig3", "fig5", "fig6", "fig7", "fig8",
+                "fig9", "fig10", "bert", "recovery", "serve"
+            ]
+        );
+        let shardable: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.shardable)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(
+            shardable,
+            ["fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "bert"]
+        );
+    }
+
+    #[test]
+    fn defaults_come_from_the_flag_table() {
+        let args = parse(&["table2"]).unwrap();
+        assert_eq!(
+            (args.samples, args.steps, args.workers, args.retries),
+            (200, 2500, 0, 2)
+        );
+        assert_eq!((args.sessions, args.max_batch), (200, 32));
+        assert!(args.deadline.is_none() && args.shard.is_none() && !args.faults.is_active());
+        let fast = parse(&["fig9", "--fast", "--steps", "2"]).unwrap();
+        assert_eq!((fast.samples, fast.steps), (FAST_SAMPLES, 2));
+    }
+
+    #[test]
+    fn every_refusal_names_its_token() {
+        let cases: [(&[&str], &str, &str); 9] = [
+            (
+                &["table2", "--samples", "5", "--samples", "6"],
+                "--samples",
+                "more than once",
+            ),
+            (&["nosuch"], "nosuch", "unknown command"),
+            (&["table2", "extra"], "extra", "unknown argument"),
+            (&["table2", "--workers", "abc"], "--workers", "\"abc\""),
+            (&["serve", "--sessions", "0"], "--sessions", "≥ 1"),
+            (&["table2", "--retries"], "--retries", "requires a value"),
+            (&["table2", "--resume"], "--resume", "--journal"),
+            (&["journal-merge", "out"], "journal-merge", "<out> <in...>"),
+            (&["optimize", "--shard", "0/3"], "--shard", "fig9"),
+        ];
+        for (words, token, fragment) in cases {
+            let (got, reason) = refusal(words);
+            assert_eq!(got, token, "{words:?}");
+            assert!(reason.contains(fragment), "{words:?}: {reason}");
+        }
+    }
+
+    #[test]
+    fn environment_supplies_the_fault_plan_and_seed() {
+        let env = |var: &str| match var {
+            FAULTS_ENV => Some("svd:0.5,seed:1".to_string()),
+            FAULTS_SEED_ENV => Some("9".to_string()),
+            _ => None,
+        };
+        let args = parse_args(&argv(&["table2"]), env).unwrap();
+        assert_eq!((args.faults.svd, args.faults.seed), (0.5, 9));
+        let args = parse_args(&argv(&["table2", "--faults", "nan:0.25"]), env).unwrap();
+        assert_eq!(
+            (args.faults.svd, args.faults.nan, args.faults.seed),
+            (0.0, 0.25, 9)
+        );
+    }
+
+    #[test]
+    fn usage_lists_every_command_and_flag() {
+        let text = usage();
+        for name in COMMANDS
+            .iter()
+            .map(|c| c.name)
+            .chain(FLAGS.iter().map(|f| f.name))
+        {
+            assert!(text.contains(name), "--help omits {name}");
+        }
+        assert!(text
+            .lines()
+            .all(|l| l.chars().count() <= 80 || !l.contains(' ')));
+    }
+
+    /// Words the parser treats specially, plus values of every shape the
+    /// setters see.
+    fn vocabulary() -> Vec<String> {
+        let mut words: Vec<String> = COMMANDS
+            .iter()
+            .map(|c| c.name)
+            .chain(FLAGS.iter().map(|f| f.name))
+            .chain(HELP)
+            .map(String::from)
+            .collect();
+        words.extend(
+            [
+                "0",
+                "1",
+                "7",
+                "-1",
+                "1e20",
+                "NaN",
+                "abc",
+                "",
+                "0/3",
+                "3/3",
+                "svd:0.5,seed:1",
+                "svd:2",
+                "--",
+                "-",
+                "out.jsonl",
+            ]
+            .map(String::from),
+        );
+        words
+    }
+
+    /// A word drawn from the vocabulary, or a short random one over an
+    /// alphabet of flag-like, path-like, quoting and non-ASCII characters.
+    fn word() -> impl Strategy<Value = String> {
+        let known = vocabulary().len();
+        (0..known + known / 3, any::<u64>()).prop_map(|(pick, bits)| {
+            let words = vocabulary();
+            if let Some(w) = words.get(pick) {
+                return w.clone();
+            }
+            const ALPHABET: [char; 12] =
+                ['-', 'a', 'x', '0', '9', '/', ':', '.', '"', ' ', 'é', '\n'];
+            (0..bits % 7)
+                .map(|i| ALPHABET[(bits >> (4 * i + 3)) as usize % ALPHABET.len()])
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parser_never_panics_and_names_the_offending_token(
+            words in proptest::collection::vec(word(), 0..7)
+        ) {
+            match parse_args(&words, |_| None) {
+                Ok(args) => prop_assert!(COMMANDS.iter().any(|c| c.name == args.command.name)),
+                Err(CliError::Help) => {
+                    prop_assert!(words.iter().any(|w| HELP.contains(&w.as_str())));
+                }
+                Err(CliError::Invalid { token, .. }) => {
+                    prop_assert!(words.contains(&token), "{token:?} is not in {words:?}");
+                }
+            }
+        }
     }
 }

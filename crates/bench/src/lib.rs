@@ -40,7 +40,13 @@ pub const SUITE_SCHEMA_NAME: &str = "lrd-bench-suite";
 /// 2⁵³ (two different streams could serialize identically). The `f32`
 /// `kernel_gflops` group lost its `batched_matmul_*`, `matvec_*` and
 /// `matvec_transb_*` timings with those entry points.
-pub const SUITE_SCHEMA_VERSION: u64 = 5;
+///
+/// v6: `kernel_gflops` is gone with `repro`'s in-binary GEMM timer;
+/// kernel throughput is timed by perfbench's `tensor.*_gflops.*` probes
+/// and the `gemm` / `factored_forward` criterion benches. Without the
+/// timer's calibration pass, `gemm_bytes_packed` counts only the
+/// command's own packing (0 for `serve`, whose decode GEMMs skip it).
+pub const SUITE_SCHEMA_VERSION: u64 = 6;
 
 /// The world seed every experiment shares.
 pub const WORLD_SEED: u64 = 2024;

@@ -11,9 +11,8 @@
 //! ```text
 //! {
 //!   "schema": "lrd-metrics",
-//!   "schema_version": 1,
-//!   "run":      { command, wall_s, workers, samples, steps,
-//!                 kernel_backend, kernel_gflops },
+//!   "schema_version": 2,
+//!   "run":      { command, wall_s, workers, samples, steps, kernel_backend },
 //!   "cache":    { hits, misses, lookups, hit_rate, distinct_factors },
 //!   "counters": { <name>: <u64>, … },                 // every ALL name, always
 //!   "gemm":     [ { variant, backend, dtype, calls, flops }, … ],
@@ -32,7 +31,10 @@ use crate::{counters, event, span};
 
 /// Version of the metrics document layout. Bump on any breaking change to
 /// the key structure above and describe the change in `DESIGN.md` §8.
-pub const SCHEMA_VERSION: u64 = 1;
+///
+/// v2: `run.kernel_gflops` is gone with the timer that measured it;
+/// kernel throughput is perfbench's and the criterion benches' to time.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Identifying string in the document's `schema` key.
 pub const SCHEMA_NAME: &str = "lrd-metrics";
@@ -52,8 +54,6 @@ pub struct RunInfo {
     pub steps: u64,
     /// Resolved kernel backend name.
     pub kernel_backend: String,
-    /// Measured kernel throughput, GFLOP/s.
-    pub kernel_gflops: f64,
 }
 
 /// Decomposition-cache totals, summed across every executor in the run.
@@ -102,7 +102,6 @@ pub fn metrics_document(run: &RunInfo, cache: &CacheInfo) -> Json {
                 ("samples", Json::uint(run.samples)),
                 ("steps", Json::uint(run.steps)),
                 ("kernel_backend", Json::str(run.kernel_backend.clone())),
-                ("kernel_gflops", Json::num(run.kernel_gflops)),
             ]),
         ),
         (
@@ -202,7 +201,6 @@ mod tests {
             samples: 60,
             steps: 8,
             kernel_backend: "scalar".into(),
-            kernel_gflops: 1.5,
         }
     }
 

@@ -41,7 +41,7 @@ fn run(label: &str, completed: u64) -> ServeReport {
     }
 }
 
-/// A v5 suite document whose serve section holds a dense variant and three
+/// A suite document whose serve section holds a dense variant and three
 /// factored ones; `completed[i]` sessions completed in variant `i`.
 fn suite(completed: [u64; 4]) -> Json {
     let labels = [("dense", 0.0), ("6%", 5.8), ("15%", 14.5), ("33%", 31.9)];
@@ -55,7 +55,6 @@ fn suite(completed: [u64; 4]) -> Json {
             ("bit_identical", Json::Bool(true)),
         ])
     });
-    let group = || Json::obj([("factored_fused_128x256_r64", Json::num(10.0))]);
     Json::obj([
         ("schema", Json::str(lrd_bench::SUITE_SCHEMA_NAME)),
         (
@@ -70,10 +69,6 @@ fn suite(completed: [u64; 4]) -> Json {
         ("cache", Json::obj([("hit_rate", Json::num(0.0))])),
         ("kernel_backend", Json::str("scalar")),
         ("kernel_dtype", Json::str("f32")),
-        (
-            "kernel_gflops",
-            Json::obj([("f32", group()), ("bf16", group()), ("f16", group())]),
-        ),
         ("gemm_bytes_packed", Json::uint(1)),
         (
             "serve",
