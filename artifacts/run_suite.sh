@@ -1,5 +1,7 @@
 #!/bin/bash
-cd /root/repo
+# Regenerates the full-step CSVs (see README) from the repository root,
+# wherever the checkout lives.
+cd "$(dirname "$0")/.." || exit 1
 BIN=target/release/repro
 : > artifacts/suite.log
 for cmd in fig3 fig5 fig6 fig7 fig8 fig9 spectra decode baselines recovery bert; do

@@ -6,13 +6,14 @@
 //! tensors of the paper (Fig. 4) and are held in [`AnyLinear`] slots so the
 //! decomposer can factor them in place.
 
-use crate::act::{softmax_rows, softmax_rows_backward};
+use crate::act::softmax_rows_backward;
 use crate::decode::DecodeError;
 use crate::linear::AnyLinear;
 use crate::param::Param;
 use crate::rope::Rope;
 use lrd_tensor::attention::{
-    decode_attention, key_tiles_len, scratch_len, CachedKv, HeadShape, KEY_TILE,
+    decode_attention, key_tiles_len, prefill_attention, prefill_scratch_len, scratch_len, CachedKv,
+    HeadShape, KEY_TILE,
 };
 use lrd_tensor::kernel::Backend;
 use lrd_tensor::matmul::{matmul, matmul_transa, matmul_transb};
@@ -165,8 +166,9 @@ pub struct AttentionCache {
     k: Tensor,
     /// Values, `(B·T) × (Hkv·hd)`.
     v: Tensor,
-    /// Attention probabilities per (batch, head), each `T × T`.
-    probs: Vec<Tensor>,
+    /// Attention probabilities, `[b][h][i][j]`: one `T × T` block per
+    /// (batch, head), `0` at masked keys.
+    probs: Vec<f32>,
     batch: usize,
     seq: usize,
 }
@@ -219,6 +221,15 @@ impl MultiHeadAttention {
             + self.wk.param_count()
             + self.wv.param_count()
             + self.wo.param_count()
+    }
+
+    /// This layer's heads, as the attention kernels take them.
+    fn head_shape(&self) -> HeadShape {
+        HeadShape {
+            n_heads: self.n_heads,
+            n_kv_heads: self.n_kv_heads,
+            head_dim: self.head_dim,
+        }
     }
 
     /// Extracts the `T × head_dim` block for `(batch b, head h)` from a flat
@@ -355,11 +366,7 @@ impl MultiHeadAttention {
     /// session runs through [`decode_attention`] on `backend`, with one
     /// scratch buffer for the whole call; every backend gives the same bits.
     fn attend_caches(&self, backend: Backend, q: &Tensor, caches: &[&mut KvCache]) -> Tensor {
-        let shape = HeadShape {
-            n_heads: self.n_heads,
-            n_kv_heads: self.n_kv_heads,
-            head_dim: self.head_dim,
-        };
+        let shape = self.head_shape();
         let longest = caches.iter().map(|c| c.len()).max().unwrap_or(0);
         let mut scratch = vec![0.0f32; scratch_len(shape, longest)];
         let mut ctx = Tensor::zeros(&[caches.len(), self.n_heads * self.head_dim]);
@@ -372,16 +379,14 @@ impl MultiHeadAttention {
 
     /// Prefill body of [`MultiHeadAttention::forward`] and
     /// [`MultiHeadAttention::infer`]: the three input projections, RoPE,
-    /// and the per-(batch, head) scores/mask/softmax/P·V loop. Returns the
-    /// rotated queries and keys, the values and the context rows that feed
-    /// `W_SO`. Each head's probabilities go to `probs` when given; otherwise
-    /// they are dropped as soon as that head's context rows are accumulated.
+    /// and [`MultiHeadAttention::attend_prefill`]. Returns the rotated
+    /// queries and keys, the values and the context rows that feed `W_SO`.
     fn prefill(
         &self,
         x: &Tensor,
         batch: usize,
         seq: usize,
-        mut probs: Option<&mut Vec<Tensor>>,
+        probs: Option<&mut [f32]>,
     ) -> (Tensor, Tensor, Tensor, Tensor) {
         assert_eq!(x.rows(), batch * seq, "attention input rows != batch*seq");
         let mut q = self.wq.infer(x);
@@ -403,33 +408,55 @@ impl MultiHeadAttention {
             }
         }
 
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let group = self.n_heads / self.n_kv_heads;
-        let mut ctx = Tensor::zeros(&[batch * seq, self.n_heads * self.head_dim]);
-        for b in 0..batch {
-            for h in 0..self.n_heads {
-                let kv_h = h / group;
-                let qb = Self::head_block(&q, b, h, seq, self.head_dim);
-                let kb = Self::head_block(&k, b, kv_h, seq, self.head_dim);
-                let vb = Self::head_block(&v, b, kv_h, seq, self.head_dim);
-                let mut scores = matmul_transb(&qb, &kb).scale(scale);
-                if self.causal {
-                    for t in 0..seq {
-                        let row = scores.row_mut(t);
-                        for entry in row.iter_mut().take(seq).skip(t + 1) {
-                            *entry = f32::NEG_INFINITY;
-                        }
-                    }
-                }
-                let p = softmax_rows(&scores);
-                let c = matmul(&p, &vb);
-                Self::add_head_block(&mut ctx, &c, b, h, seq, self.head_dim);
-                if let Some(probs) = probs.as_deref_mut() {
-                    probs.push(p);
-                }
-            }
-        }
+        let ctx = self.attend_prefill(Backend::active(), &q, &k, &v, batch, seq, probs);
         (q, k, v, ctx)
+    }
+
+    /// Prefill attention: the context rows `(B·T) × (H·hd)` of rotated
+    /// queries `q` over keys `k` and values `v`, one [`prefill_attention`]
+    /// call per batch element on `backend`, with one scratch buffer for
+    /// the whole call. Each sequence's probabilities, `[h][i][j]`, go to
+    /// its `H·T·T` block of `probs` when given.
+    #[allow(clippy::too_many_arguments)] // the layer's activations plus the kernel's backend and probs
+    fn attend_prefill(
+        &self,
+        backend: Backend,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        batch: usize,
+        seq: usize,
+        mut probs: Option<&mut [f32]>,
+    ) -> Tensor {
+        #[cfg(test)]
+        if tests::REFERENCE_PREFILL.get() {
+            return tests::attend_prefill_reference(self, backend, q, k, v, batch, seq, probs);
+        }
+        let shape = self.head_shape();
+        let mut scratch = vec![0.0f32; prefill_scratch_len(shape, seq)];
+        let mut ctx = Tensor::zeros(&[batch * seq, self.n_heads * self.head_dim]);
+        let (qn, kn, pn) = (seq * q.cols(), seq * k.cols(), self.n_heads * seq * seq);
+        let rows = q
+            .data()
+            .chunks_exact(qn)
+            .zip(ctx.data_mut().chunks_exact_mut(qn));
+        let kv = k.data().chunks_exact(kn).zip(v.data().chunks_exact(kn));
+        for (b, ((q, ctx), (k, v))) in rows.zip(kv).enumerate() {
+            let probs = probs.as_deref_mut().map(|p| &mut p[b * pn..][..pn]);
+            prefill_attention(
+                backend,
+                shape,
+                self.causal,
+                seq,
+                q,
+                k,
+                v,
+                &mut scratch,
+                ctx,
+                probs,
+            );
+        }
+        ctx
     }
 
     /// Forward pass over `x ((B·T) × d)` laid out batch-major.
@@ -438,7 +465,7 @@ impl MultiHeadAttention {
     ///
     /// Panics if `x.rows() != batch · seq`.
     pub fn forward(&self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, AttentionCache) {
-        let mut probs = Vec::with_capacity(batch * self.n_heads);
+        let mut probs = vec![0.0f32; batch * self.n_heads * seq * seq];
         let (q, k, v, ctx) = self.prefill(x, batch, seq, Some(&mut probs));
         let y = self.wo.infer(&ctx);
         let cache = AttentionCache {
@@ -480,7 +507,8 @@ impl MultiHeadAttention {
         for b in 0..batch {
             for h in 0..self.n_heads {
                 let kv_h = h / group;
-                let p = &cache.probs[b * self.n_heads + h];
+                let block = &cache.probs[(b * self.n_heads + h) * seq * seq..][..seq * seq];
+                let p = &Tensor::from_vec(&[seq, seq], block.to_vec());
                 let dcb = Self::head_block(&dctx, b, h, seq, self.head_dim);
                 let kb = Self::head_block(&cache.k, b, kv_h, seq, self.head_dim);
                 let vb = Self::head_block(&cache.v, b, kv_h, seq, self.head_dim);
@@ -549,7 +577,248 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::act::softmax_rows;
+    use crate::config::TransformerConfig;
+    use crate::model::TransformerLm;
+    use lrd_tensor::dtype::KernelDtype;
+    use lrd_tensor::exp::exp_matches_f32_exp;
+    use lrd_tensor::matmul::{gemm, Trans, KC};
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Routes this thread's prefills through [`attend_prefill_reference`].
+        pub(super) static REFERENCE_PREFILL: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The per-(batch, head) prefill loop [`prefill_attention`] replaced,
+    /// on `backend`: three head-block copies, `a·bᵀ`, `×scale`, the `-inf`
+    /// mask, `softmax_rows`, `P·V` and an add back into `ctx`. Each head's
+    /// probabilities go to its `T × T` block of `probs` when given.
+    #[allow(clippy::too_many_arguments)] // mirrors `attend_prefill`
+    pub(super) fn attend_prefill_reference(
+        a: &MultiHeadAttention,
+        backend: Backend,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        batch: usize,
+        seq: usize,
+        mut probs: Option<&mut [f32]>,
+    ) -> Tensor {
+        let scale = 1.0 / (a.head_dim as f32).sqrt();
+        let group = a.n_heads / a.n_kv_heads;
+        let mut ctx = Tensor::zeros(&[batch * seq, a.n_heads * a.head_dim]);
+        for b in 0..batch {
+            for h in 0..a.n_heads {
+                let kv_h = h / group;
+                let qb = MultiHeadAttention::head_block(q, b, h, seq, a.head_dim);
+                let kb = MultiHeadAttention::head_block(k, b, kv_h, seq, a.head_dim);
+                let vb = MultiHeadAttention::head_block(v, b, kv_h, seq, a.head_dim);
+                let mut scores = gemm(backend, KernelDtype::F32, Trans::B, &qb, &kb).scale(scale);
+                if a.causal {
+                    for t in 0..seq {
+                        let row = scores.row_mut(t);
+                        for entry in row.iter_mut().take(seq).skip(t + 1) {
+                            *entry = f32::NEG_INFINITY;
+                        }
+                    }
+                }
+                let p = softmax_rows(&scores);
+                let c = gemm(backend, KernelDtype::F32, Trans::No, &p, &vb);
+                MultiHeadAttention::add_head_block(&mut ctx, &c, b, h, seq, a.head_dim);
+                if let Some(probs) = probs.as_deref_mut() {
+                    let block = seq * seq;
+                    probs[(b * a.n_heads + h) * block..][..block].copy_from_slice(p.data());
+                }
+            }
+        }
+        ctx
+    }
+
+    /// Runs `f` with this thread's prefills on the reference loop.
+    fn on_reference<T>(f: impl FnOnce() -> T) -> T {
+        REFERENCE_PREFILL.set(true);
+        let out = f();
+        REFERENCE_PREFILL.set(false);
+        out
+    }
+
+    /// The backends on which the reference's `softmax_rows`, whose `exp`
+    /// follows the active backend, gives the kernel's `exp` bits: every
+    /// exact backend where `exp` is `f32::exp`, else the active one.
+    fn prefill_backends() -> Vec<Backend> {
+        if exp_matches_f32_exp() {
+            exact_backends()
+        } else {
+            vec![Backend::active()]
+        }
+    }
+
+    fn f32_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The kernel gives the reference's context and probability bits, with
+    /// and without `probs`, on random rotated activations of `batch`
+    /// sequences of `seq`.
+    fn assert_prefill_matches_reference(
+        a: &MultiHeadAttention,
+        batch: usize,
+        seq: usize,
+        rng: &mut Rng64,
+    ) {
+        let rows = batch * seq;
+        let q = Tensor::randn(&[rows, a.n_heads * a.head_dim], rng);
+        let k = Tensor::randn(&[rows, a.n_kv_heads * a.head_dim], rng);
+        let v = Tensor::randn(&[rows, a.n_kv_heads * a.head_dim], rng);
+        let pn = batch * a.n_heads * seq * seq;
+        for backend in prefill_backends() {
+            let (mut got_p, mut want_p) = (vec![f32::NAN; pn], vec![f32::NAN; pn]);
+            let got = a.attend_prefill(backend, &q, &k, &v, batch, seq, Some(&mut got_p));
+            let want =
+                attend_prefill_reference(a, backend, &q, &k, &v, batch, seq, Some(&mut want_p));
+            let what = format!("{backend:?} causal {} seq {seq} batch {batch}", a.causal);
+            assert_eq!(bits(&got), bits(&want), "ctx, {what}");
+            assert_eq!(f32_bits(&got_p), f32_bits(&want_p), "probs, {what}");
+            let bare = a.attend_prefill(backend, &q, &k, &v, batch, seq, None);
+            assert_eq!(bits(&bare), bits(&want), "ctx without probs, {what}");
+        }
+    }
+
+    /// Prefill head shapes as `(head_dim, n_heads, n_kv_heads)`: the
+    /// served one, GQA, multi-query, and widths 12 and 16.
+    const PREFILL_SHAPES: [(usize, usize, usize); 5] =
+        [(10, 4, 4), (10, 4, 2), (8, 4, 1), (12, 2, 2), (16, 6, 3)];
+
+    fn prefill_layer(
+        shape: (usize, usize, usize),
+        max_seq: usize,
+        causal: bool,
+        rng: &mut Rng64,
+    ) -> MultiHeadAttention {
+        let (head_dim, n_heads, n_kv_heads) = shape;
+        MultiHeadAttention::new(
+            n_heads * head_dim,
+            n_heads,
+            n_kv_heads,
+            max_seq,
+            causal,
+            true,
+            false,
+            rng,
+        )
+    }
+
+    /// Every sequence length from 1 to 64, across the GEMM tile edges
+    /// (`MR = 6` rows, `NR = 16` columns) and the kernel's own (four
+    /// queries, sixteen keys), causal and bidirectional, batch 2.
+    #[test]
+    fn prefill_attention_pins_every_length_to_64() {
+        let mut rng = Rng64::new(500);
+        for seq in 1..=64 {
+            for causal in [true, false] {
+                let shape = PREFILL_SHAPES[seq % PREFILL_SHAPES.len()];
+                let a = prefill_layer(shape, 64, causal, &mut rng);
+                assert_prefill_matches_reference(&a, 2, seq, &mut rng);
+            }
+        }
+    }
+
+    /// Chains longer than one GEMM depth block (`KC`) restart per block,
+    /// in the scores (`head_dim` 264) and in P·V (276 keys); widths 20 and
+    /// 264 also leave ragged column strips.
+    #[test]
+    fn prefill_attention_splits_chains_at_gemm_depth_blocks() {
+        let mut rng = Rng64::new(501);
+        for (shape, seq) in [((264, 1, 1), 9), ((20, 2, 1), KC + 20)] {
+            for causal in [true, false] {
+                let a = prefill_layer(shape, seq, causal, &mut rng);
+                assert_prefill_matches_reference(&a, 1, seq, &mut rng);
+            }
+        }
+    }
+
+    /// A non-finite value row reaches no earlier position: the kernel
+    /// skips masked keys instead of multiplying their zero probability by
+    /// the value. A non-finite input row makes its own q, k and v rows
+    /// non-finite.
+    #[test]
+    fn non_finite_future_value_does_not_reach_earlier_positions() {
+        let (batch, seq, row) = (2, 9, 6);
+        let poisoned = seq + row;
+        for (i, &shape) in PREFILL_SHAPES.iter().enumerate() {
+            let mut rng = Rng64::new(600 + i as u64);
+            let a = prefill_layer(shape, seq, true, &mut rng);
+            let x = Tensor::randn(&[batch * seq, a.n_heads * a.head_dim], &mut rng);
+            let clean = a.infer(&x, batch, seq);
+            for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut xp = x.clone();
+                xp.row_mut(poisoned)[0] = value;
+                let v = a.wv.infer(&xp);
+                assert!(v.row(poisoned).iter().any(|v| !v.is_finite()));
+                for y in [a.infer(&xp, batch, seq), a.forward(&xp, batch, seq).0] {
+                    for r in (0..batch * seq).filter(|&r| !(poisoned..2 * seq).contains(&r)) {
+                        assert_eq!(
+                            f32_bits(y.row(r)),
+                            f32_bits(clean.row(r)),
+                            "{shape:?} {value} row {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Training `forward`'s output and probabilities, and `backward`'s
+    /// `dx` and weight gradients, carry the reference loop's bits.
+    #[test]
+    fn forward_and_backward_match_reference_bit_for_bit() {
+        let (batch, seq) = (2, 11);
+        for (i, &shape) in PREFILL_SHAPES.iter().enumerate() {
+            for causal in [true, false] {
+                let mut rng = Rng64::new(700 + i as u64);
+                let a = prefill_layer(shape, seq, causal, &mut rng);
+                let d = a.n_heads * a.head_dim;
+                let x = Tensor::randn(&[batch * seq, d], &mut rng);
+                let dy = Tensor::randn(&[batch * seq, d], &mut rng);
+                let run = || {
+                    let mut a = a.clone();
+                    let (y, cache) = a.forward(&x, batch, seq);
+                    let dx = a.backward(&cache, &dy);
+                    let mut params = Vec::new();
+                    a.visit_params("attn", &mut params);
+                    let grads: Vec<Vec<u32>> = params.iter().map(|(_, p)| bits(&p.grad)).collect();
+                    (bits(&y), f32_bits(&cache.probs), bits(&dx), grads)
+                };
+                let (got, want) = (run(), on_reference(run));
+                assert_eq!(got.0, want.0, "{shape:?} causal {causal}: y");
+                assert_eq!(got.1, want.1, "{shape:?} causal {causal}: probs");
+                assert_eq!(got.2, want.2, "{shape:?} causal {causal}: dx");
+                assert_eq!(got.3, want.3, "{shape:?} causal {causal}: weight grads");
+            }
+        }
+    }
+
+    /// Whole-model logits carry the reference loop's bits on tiny-Llama
+    /// (causal, RoPE) and tiny-BERT (bidirectional).
+    #[test]
+    fn logits_match_reference_bit_for_bit_on_tiny_models() {
+        for cfg in [
+            TransformerConfig::tiny_llama(),
+            TransformerConfig::tiny_bert(),
+        ] {
+            let mut rng = Rng64::new(800);
+            let (batch, seq) = (2, 23);
+            let tokens: Vec<usize> = (0..batch * seq)
+                .map(|_| rng.below(cfg.vocab_size))
+                .collect();
+            let model = TransformerLm::new(cfg, &mut rng);
+            let got = model.logits(&tokens, batch);
+            let want = on_reference(|| model.logits(&tokens, batch));
+            assert_eq!(bits(&got), bits(&want));
+        }
+    }
 
     /// The scalar decode-attention loop [`MultiHeadAttention::attend_caches`]
     /// replaced: a fresh scores `Vec` per (session, head), one key dot at a
@@ -683,6 +952,22 @@ mod tests {
             let mut caches = random_caches(&lens, max_seq, n_kv_heads * head_dim, &mut rng);
             let q = Tensor::randn(&[batch, d_model], &mut rng).scale(q_scale);
             assert_matches_reference(&a, &q, &mut caches);
+        }
+
+        /// The prefill kernel gives the reference's bits on every exact
+        /// backend, over head shapes with and without GQA, causal and
+        /// bidirectional, any length to 64 and batches above one.
+        #[test]
+        fn prefill_attention_matches_per_head_reference_bit_for_bit(
+            shape_ix in 0usize..5,
+            seq in 1usize..=64,
+            batch in 1usize..=3,
+            causal in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng64::new(seed);
+            let a = prefill_layer(PREFILL_SHAPES[shape_ix], 64, causal, &mut rng);
+            assert_prefill_matches_reference(&a, batch, seq, &mut rng);
         }
 
         /// A pushed key row reads back unchanged from its tile lane, and

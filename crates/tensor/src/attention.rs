@@ -1,5 +1,10 @@
-//! Decode attention of one session over its KV cache, with the keys held
-//! in [`KEY_TILE`]-position tiles.
+//! The two attention kernels: decode attention of one session over its KV
+//! cache ([`decode_attention`]), and prefill self-attention of one whole
+//! sequence ([`prefill_attention`], see its own section below).
+//!
+//! # Decode
+//!
+//! Decode attention reads the keys from [`KEY_TILE`]-position tiles.
 //!
 //! A tile stores `KEY_TILE` consecutive positions as `[column][lane]`,
 //! where column = `kv_head · head_dim + d` and lane = `t % KEY_TILE`, so
@@ -27,9 +32,36 @@
 //! No step uses FMA, so the AVX2 path and its scalar twin give the same
 //! bits, and both give the bits of the plain per-head loop over
 //! row-major keys (DESIGN.md §13).
+//!
+//! # Prefill
+//!
+//! [`prefill_attention`] runs every head of one sequence in one call, with
+//! no allocation, and gives the bits of the per-head GEMM loop it replaced
+//! (`a·bᵀ`, `×scale`, `-inf` mask, row softmax, `P·V`) on the same backend:
+//!
+//! * **Scores.** `(0.0 + chain over d) × scale`, the chain being the GEMM
+//!   micro-kernel's: from `+0.0`, in order, FMA on `avx2+fma` and `mul`
+//!   then `add` on scalar. Only keys `j ≤ i` are computed when causal.
+//! * **Softmax.** Subtract the row max, [`crate::exp`], sum in order from
+//!   `0.0`, then multiply by `1/sum`.
+//! * **P·V.** Each output is `0.0 + chain over t` (keys `t ≤ i` when
+//!   causal), the same chain as the scores.
+//!
+//! A chain longer than the GEMM's depth block [`KC`] restarts from `+0.0`
+//! per block and each block is added to the running output, as the
+//! engine does. Skipping a masked key is exact: its probability was
+//! `+0.0`, so its term could only turn a `-0.0` chain into `+0.0`, and the
+//! final `0.0 +` does that anyway. A non-finite value row therefore no
+//! longer reaches earlier positions (it used to, through `0·inf = NaN`).
+//! The kernel always uses `f32` operands, whatever `LRD_KERNEL_DTYPE` says.
+//!
+//! The AVX2 kernel takes every shape: it transposes K into scratch once
+//! per sequence, computes scores for tiles of four queries × sixteen keys,
+//! and runs P·V with one vector lane per output element's chain.
 
 use crate::exp;
 use crate::kernel::Backend;
+use crate::matmul::KC;
 
 /// Positions per key tile: one AVX2 vector holds one column of a tile.
 pub const KEY_TILE: usize = 8;
@@ -382,6 +414,463 @@ unsafe fn values_avx2(sums: &[f32], exps: &[f32], values: &[f32], len: usize, ou
     }
 }
 
+/// Query rows per tile of the AVX2 prefill kernel.
+const ROWS: usize = 4;
+
+/// Keys per score tile of the AVX2 prefill kernel: two vectors.
+const KEYS: usize = 16;
+
+/// Length of the scratch buffer [`prefill_attention`] needs for a
+/// sequence of `seq` positions: K transposed, plus one tile of score rows.
+pub fn prefill_scratch_len(shape: HeadShape, seq: usize) -> usize {
+    (shape.width() + ROWS) * seq.next_multiple_of(KEYS)
+}
+
+/// One sequence's rows, as the prefill kernels read them.
+#[derive(Clone, Copy)]
+struct Sequence<'a> {
+    shape: HeadShape,
+    causal: bool,
+    len: usize,
+    /// `len` rows of `n_heads · head_dim`.
+    q: &'a [f32],
+    /// `len` rows of `n_kv_heads · head_dim` each.
+    k: &'a [f32],
+    v: &'a [f32],
+}
+
+impl Sequence<'_> {
+    /// Keys query `i` attends to: `0..keys(i)`.
+    fn keys(&self, i: usize) -> usize {
+        if self.causal {
+            i + 1
+        } else {
+            self.len
+        }
+    }
+
+    /// Offset of query `i`, head `h` in `q` and in the context rows.
+    fn head_at(&self, i: usize, h: usize) -> usize {
+        (i * self.shape.n_heads + h) * self.shape.head_dim
+    }
+
+    /// First column of head `h`'s KV head in a key or value row.
+    fn kv_col(&self, h: usize) -> usize {
+        h / (self.shape.n_heads / self.shape.n_kv_heads) * self.shape.head_dim
+    }
+
+    fn scale(&self) -> f32 {
+        1.0 / (self.shape.head_dim as f32).sqrt()
+    }
+}
+
+/// Self-attention of one sequence of `seq` positions, every head at once:
+/// `ctx[i][h] = Σ_j p_ij · v_j` with `p_i = softmax_j(q_ih · k_j · scale)`
+/// over the keys and values of KV head `h / (n_heads / n_kv_heads)`,
+/// `scale = 1/√head_dim`, and `j ≤ i` when `causal` (all `j` otherwise).
+/// The arithmetic is the per-head GEMM loop's, bit for bit (module docs).
+///
+/// `q` and `ctx` hold `seq` rows of `n_heads · head_dim`, `k` and `v`
+/// `seq` rows of `n_kv_heads · head_dim`. `ctx` is overwritten. `probs`,
+/// when given, receives each head's `seq × seq` probabilities, `[h][i][j]`,
+/// with `0.0` at masked keys. `scratch` holds at least
+/// [`prefill_scratch_len`]`(shape, seq)`; its contents are ignored.
+///
+/// # Panics
+///
+/// Panics if a buffer has another length than stated above, if
+/// `head_dim` is zero, or if `n_kv_heads` is zero or does not divide
+/// `n_heads`.
+#[allow(clippy::too_many_arguments)] // the operands of one sequence, as the layer holds them
+pub fn prefill_attention(
+    backend: Backend,
+    shape: HeadShape,
+    causal: bool,
+    seq: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scratch: &mut [f32],
+    ctx: &mut [f32],
+    probs: Option<&mut [f32]>,
+) {
+    let (nh, hd) = (shape.n_heads, shape.head_dim);
+    assert!(
+        shape.n_kv_heads > 0 && nh.is_multiple_of(shape.n_kv_heads),
+        "n_kv_heads must divide n_heads"
+    );
+    assert!(hd > 0, "head_dim must be positive");
+    assert!(
+        q.len() == seq * nh * hd && ctx.len() == q.len(),
+        "q/ctx rows"
+    );
+    assert!(
+        k.len() == seq * shape.width() && v.len() == k.len(),
+        "k/v rows"
+    );
+    assert!(scratch.len() >= prefill_scratch_len(shape, seq), "scratch");
+    assert!(
+        probs.as_ref().is_none_or(|p| p.len() == nh * seq * seq),
+        "probs"
+    );
+    if seq == 0 {
+        return;
+    }
+    let s = Sequence {
+        shape,
+        causal,
+        len: seq,
+        q,
+        k,
+        v,
+    };
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only ever constructed after runtime detection;
+        // the asserts above give the lengths `prefill_avx2` requires.
+        Backend::Avx2Fma => unsafe { prefill_avx2(s, scratch, ctx, probs) },
+        _ => prefill_scalar(s, scratch, ctx, probs),
+    }
+}
+
+/// The GEMM engine's sum of `n` products: an in-order `mul`-then-`add`
+/// chain from `+0.0` per [`KC`]-long block, each block added to a total
+/// that starts at `0.0`.
+fn gemm_sum(n: usize, product: impl Fn(usize) -> f32) -> f32 {
+    let mut total = 0.0f32;
+    for b0 in (0..n).step_by(KC) {
+        let mut acc = 0.0f32;
+        for t in b0..n.min(b0 + KC) {
+            acc += product(t);
+        }
+        total += acc;
+    }
+    total
+}
+
+/// Writes query `i`'s probabilities over its `keys` into head `h`'s
+/// `seq × seq` block of `probs`, with `0.0` past them.
+fn store_probs(probs: &mut [f32], seq: usize, h: usize, i: usize, keys: &[f32]) {
+    let row = &mut probs[(h * seq + i) * seq..][..seq];
+    let (live, masked) = row.split_at_mut(keys.len());
+    live.copy_from_slice(keys);
+    masked.fill(0.0);
+}
+
+/// Portable twin of [`prefill_avx2`], one query row at a time, reading
+/// keys and values where they lie.
+fn prefill_scalar(
+    s: Sequence<'_>,
+    scratch: &mut [f32],
+    ctx: &mut [f32],
+    mut probs: Option<&mut [f32]>,
+) {
+    let (hd, width, scale) = (s.shape.head_dim, s.shape.width(), s.scale());
+    for h in 0..s.shape.n_heads {
+        let col = s.kv_col(h);
+        for i in 0..s.len {
+            let qi = &s.q[s.head_at(i, h)..][..hd];
+            let row = &mut scratch[..s.keys(i)];
+            for (j, x) in row.iter_mut().enumerate() {
+                let kj = &s.k[j * width + col..][..hd];
+                *x = gemm_sum(hd, |d| qi[d] * kj[d]) * scale;
+            }
+            let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            row.iter_mut().for_each(|x| *x -= max);
+            exp::exp_scalar(row);
+            let inv = 1.0 / row.iter().fold(0.0f32, |a, &e| a + e);
+            row.iter_mut().for_each(|e| *e *= inv);
+            if let Some(p) = probs.as_deref_mut() {
+                store_probs(p, s.len, h, i, row);
+            }
+            let out = &mut ctx[s.head_at(i, h)..][..hd];
+            for (c, o) in out.iter_mut().enumerate() {
+                *o = gemm_sum(row.len(), |t| row[t] * s.v[t * width + col + c]);
+            }
+        }
+    }
+}
+
+/// AVX2 prefill attention, any head shape: K is transposed into
+/// `[column][position]` scratch once, then each head runs tiles of up to
+/// [`ROWS`] queries through [`attend_tile`].
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA and the lengths
+/// [`prefill_attention`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn prefill_avx2(
+    s: Sequence<'_>,
+    scratch: &mut [f32],
+    ctx: &mut [f32],
+    mut probs: Option<&mut [f32]>,
+) {
+    let (hd, width) = (s.shape.head_dim, s.shape.width());
+    let ld = s.len.next_multiple_of(KEYS);
+    let (kt, scores) = scratch.split_at_mut(width * ld);
+    for (c, column) in kt.chunks_exact_mut(ld).enumerate() {
+        let (live, pad) = column.split_at_mut(s.len);
+        for (x, row) in live.iter_mut().zip(s.k.chunks_exact(width)) {
+            *x = row[c];
+        }
+        pad.fill(0.0);
+    }
+    let scores = &mut scores[..ROWS * ld];
+    for h in 0..s.shape.n_heads {
+        let kt = &kt[s.kv_col(h) * ld..][..hd * ld];
+        for i0 in (0..s.len).step_by(ROWS) {
+            let rows = ROWS.min(s.len - i0);
+            // SAFETY: the caller guarantees AVX2+FMA and the lengths;
+            // `rows` query rows from `i0` lie inside the sequence, `kt`
+            // holds this KV head's `hd` columns of `ld` and `scores` `ROWS`
+            // rows of `ld`.
+            unsafe {
+                match rows {
+                    4 => attend_tile::<4>(s, h, i0, kt, scores, ctx),
+                    3 => attend_tile::<3>(s, h, i0, kt, scores, ctx),
+                    2 => attend_tile::<2>(s, h, i0, kt, scores, ctx),
+                    _ => attend_tile::<1>(s, h, i0, kt, scores, ctx),
+                }
+            }
+            if let Some(p) = probs.as_deref_mut() {
+                for (r, row) in scores.chunks_exact(ld).take(rows).enumerate() {
+                    store_probs(p, s.len, h, i0 + r, &row[..s.keys(i0 + r)]);
+                }
+            }
+        }
+    }
+}
+
+/// Queries `i0..i0 + R` of head `h`: scores, softmax and P·V. Row `r`'s
+/// probabilities are left in `scores[r·ld..][..keys(i0 + r)]`, with `ld =
+/// scores.len() / ROWS`.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA, the lengths
+/// [`prefill_attention`] asserts, `i0 + R ≤ s.len`, and that `kt` holds
+/// this head's KV columns of K transposed, `head_dim` columns of `ld`
+/// (zero past `s.len`), and `scores` `ROWS` rows of `ld`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn attend_tile<const R: usize>(
+    s: Sequence<'_>,
+    h: usize,
+    i0: usize,
+    kt: &[f32],
+    scores: &mut [f32],
+    ctx: &mut [f32],
+) {
+    let keys: [usize; R] = std::array::from_fn(|r| s.keys(i0 + r));
+    // SAFETY: forwarded from this fn's contract.
+    unsafe {
+        score_tile::<R>(s, h, i0, keys[R - 1], kt, scores);
+        softmax_tile(&keys, scores);
+        values_tile(s, h, i0, &keys, scores, ctx);
+    }
+}
+
+/// Scores of queries `i0..i0 + R` against keys `0..keys`, [`KEYS`] at a
+/// time: `2R` accumulators, each lane an in-order FMA chain over `d` from
+/// `+0.0`, added to `0.0` (the GEMM's `C += acc`, once per [`KC`] block
+/// of `d`) and then multiplied by `scale`. Lanes past a row's own keys are
+/// computed and never read.
+///
+/// # Safety
+///
+/// As [`attend_tile`], plus `keys ≤ s.len`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn score_tile<const R: usize>(
+    s: Sequence<'_>,
+    h: usize,
+    i0: usize,
+    keys: usize,
+    kt: &[f32],
+    scores: &mut [f32],
+) {
+    use core::arch::x86_64::*;
+    let (hd, qw) = (s.shape.head_dim, s.shape.n_heads * s.shape.head_dim);
+    let ld = kt.len() / hd;
+    // SAFETY: the caller guarantees AVX2+FMA and the lengths. Row `r < R`
+    // reads `q[head_at(i0 + r, h) + d]` for `d < hd`; `j0 + KEYS ≤ ld`
+    // because `j0 < keys ≤ s.len ≤ ld` and both `j0` and `ld` are
+    // multiples of `KEYS`, so the `kt` loads stay in column `d < hd` and
+    // the `scores` stores in row `r < R ≤ ROWS`.
+    unsafe {
+        let q = s.q.as_ptr().add(s.head_at(i0, h));
+        let (kp, sp) = (kt.as_ptr(), scores.as_mut_ptr());
+        let scale = _mm256_set1_ps(s.scale());
+        for j0 in (0..keys).step_by(KEYS) {
+            for d0 in (0..hd).step_by(KC) {
+                let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                for d in d0..hd.min(d0 + KC) {
+                    let b0 = _mm256_loadu_ps(kp.add(d * ld + j0));
+                    let b1 = _mm256_loadu_ps(kp.add(d * ld + j0 + 8));
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let qd = _mm256_broadcast_ss(&*q.add(r * qw + d));
+                        a[0] = _mm256_fmadd_ps(qd, b0, a[0]);
+                        a[1] = _mm256_fmadd_ps(qd, b1, a[1]);
+                    }
+                }
+                let last = d0 + KC >= hd;
+                for (r, a) in acc.iter().enumerate() {
+                    for (half, &a) in a.iter().enumerate() {
+                        let dst = sp.add(r * ld + j0 + half * 8);
+                        let prev = if d0 == 0 {
+                            _mm256_setzero_ps()
+                        } else {
+                            _mm256_loadu_ps(dst)
+                        };
+                        let sum = _mm256_add_ps(prev, a);
+                        _mm256_storeu_ps(dst, if last { _mm256_mul_ps(sum, scale) } else { sum });
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Softmax of `R` score rows, row `r` over its first `keys[r]` entries:
+/// subtract the row max (order-free, NaN-ignoring as `f32::max`; the sign
+/// of a zero max cannot change `exp(s − max)`), `exp`, sum in order from
+/// `0.0` (the `R` rows as independent chains), multiply by `1/sum`.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA, and that `scores`
+/// holds `ROWS` rows of `ld ≥ keys[r]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn softmax_tile<const R: usize>(keys: &[usize; R], scores: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let ld = scores.len() / ROWS;
+    for (row, &n) in scores.chunks_exact_mut(ld).zip(keys) {
+        let row = &mut row[..n];
+        let mut vectors = row.chunks_exact(8);
+        // SAFETY: the caller guarantees AVX2+FMA; each load reads one
+        // whole 8-element chunk and the store fills `lanes`.
+        let max = unsafe {
+            let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
+            for v in &mut vectors {
+                m = _mm256_max_ps(_mm256_loadu_ps(v.as_ptr()), m);
+            }
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+            lanes
+                .iter()
+                .chain(vectors.remainder())
+                .fold(f32::NEG_INFINITY, |a, &b| a.max(b))
+        };
+        row.iter_mut().for_each(|x| *x -= max);
+        // SAFETY: the caller guarantees AVX2+FMA.
+        unsafe { exp::exp_avx2(row) };
+    }
+    let mut sums = [0.0f32; R];
+    for t in 0..keys[R - 1] {
+        for (r, sum) in sums.iter_mut().enumerate() {
+            if t < keys[r] {
+                *sum += scores[r * ld + t];
+            }
+        }
+    }
+    for ((row, &n), sum) in scores.chunks_exact_mut(ld).zip(keys).zip(sums) {
+        let inv = 1.0 / sum;
+        row[..n].iter_mut().for_each(|e| *e *= inv);
+    }
+}
+
+/// P·V of queries `i0..i0 + R`, sixteen output columns at a time (masked
+/// lanes past `head_dim`): each lane an in-order FMA chain over its row's
+/// keys from `+0.0`, added to `0.0` once per [`KC`] block of keys. Keys
+/// every row attends to run as one loop; the causal tail (at most `R − 1`
+/// keys) adds only the rows that attend to it.
+///
+/// # Safety
+///
+/// As [`attend_tile`], with `keys[r] = s.keys(i0 + r)` and `scores`
+/// holding the tile's probabilities.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn values_tile<const R: usize>(
+    s: Sequence<'_>,
+    h: usize,
+    i0: usize,
+    keys: &[usize; R],
+    scores: &[f32],
+    ctx: &mut [f32],
+) {
+    use core::arch::x86_64::*;
+    /// Lane masks: the 8 lanes starting at `8 - w` enable the first `w`.
+    const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let (hd, width, qw) = (
+        s.shape.head_dim,
+        s.shape.width(),
+        s.shape.n_heads * s.shape.head_dim,
+    );
+    let ld = scores.len() / ROWS;
+    let (shared, all) = (keys[0], keys[R - 1]);
+    // SAFETY: the caller guarantees AVX2+FMA and the lengths. Value row
+    // `t < keys[R − 1] ≤ s.len` is read at columns `kv_col(h) + c0 + l`
+    // and context row `i0 + r` (`r < R`) written at `head_at(i0 + r, h)
+    // + c0 + l`, only for lanes `l < w ≤ head_dim − c0` the masks enable;
+    // a second half whose lanes are all disabled gets its address from
+    // `wrapping_add`, so it need not lie inside the slice. Probability `t`
+    // of row `r` is `scores[r·ld + t]` with `t < keys[r] ≤ ld`.
+    unsafe {
+        let lanes = LANES.as_ptr();
+        let sp = scores.as_ptr();
+        for c0 in (0..hd).step_by(16) {
+            let w = (hd - c0).min(16);
+            let m0 = _mm256_loadu_si256(lanes.add(8 - w.min(8)).cast());
+            let m1 = _mm256_loadu_si256(lanes.add(8 - w.saturating_sub(8)).cast());
+            let vp = s.v.as_ptr().add(s.kv_col(h) + c0);
+            let out = ctx.as_mut_ptr().add(s.head_at(i0, h) + c0);
+            for t0 in (0..all).step_by(KC) {
+                let t1 = all.min(t0 + KC);
+                let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                let common = shared.clamp(t0, t1);
+                for t in t0..common {
+                    let row = vp.add(t * width);
+                    let b0 = _mm256_maskload_ps(row, m0);
+                    let b1 = _mm256_maskload_ps(row.wrapping_add(8), m1);
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let p = _mm256_broadcast_ss(&*sp.add(r * ld + t));
+                        a[0] = _mm256_fmadd_ps(p, b0, a[0]);
+                        a[1] = _mm256_fmadd_ps(p, b1, a[1]);
+                    }
+                }
+                for t in common..t1 {
+                    let row = vp.add(t * width);
+                    let b0 = _mm256_maskload_ps(row, m0);
+                    let b1 = _mm256_maskload_ps(row.wrapping_add(8), m1);
+                    for (r, a) in acc.iter_mut().enumerate().filter(|&(r, _)| t < keys[r]) {
+                        let p = _mm256_broadcast_ss(&*sp.add(r * ld + t));
+                        a[0] = _mm256_fmadd_ps(p, b0, a[0]);
+                        a[1] = _mm256_fmadd_ps(p, b1, a[1]);
+                    }
+                }
+                for (r, a) in acc.iter().enumerate() {
+                    let dst = out.add(r * qw);
+                    let dst_hi = dst.wrapping_add(8);
+                    let (prev0, prev1) = if t0 == 0 {
+                        (_mm256_setzero_ps(), _mm256_setzero_ps())
+                    } else {
+                        (_mm256_maskload_ps(dst, m0), _mm256_maskload_ps(dst_hi, m1))
+                    };
+                    _mm256_maskstore_ps(dst, m0, _mm256_add_ps(prev0, a[0]));
+                    _mm256_maskstore_ps(dst_hi, m1, _mm256_add_ps(prev1, a[1]));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +962,28 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An empty sequence is a no-op on every backend, with empty buffers.
+    #[test]
+    fn prefill_of_an_empty_sequence_writes_nothing() {
+        let backends = std::iter::once(Backend::Scalar).chain(Backend::detect_simd());
+        for backend in backends {
+            let mut scratch = vec![0.0; prefill_scratch_len(SERVED, 0)];
+            let mut probs = [0.0f32; 0];
+            prefill_attention(
+                backend,
+                SERVED,
+                true,
+                0,
+                &[],
+                &[],
+                &[],
+                &mut scratch,
+                &mut [],
+                Some(&mut probs),
+            );
         }
     }
 
