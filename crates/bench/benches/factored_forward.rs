@@ -66,6 +66,25 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     }
 }
 
+fn bench_rank1_served(c: &mut Criterion) {
+    // Rank-1 factored layers at the served model's shapes (d_model 40,
+    // d_ff 112): decode batches of 1, 13 and 32 rows and a 1024-row
+    // prefill batch. The `x·U1` and `h1·Γ` stages are one column wide.
+    let mut rng = Rng64::new(7);
+    let mut group = c.benchmark_group("factored_rank1_served");
+    for m in [1usize, 13, 32, 1024] {
+        for (k, n) in [(40usize, 40usize), (40, 112), (112, 40)] {
+            let dense = Linear::new(k, n, false, &mut rng);
+            let fac = FactoredLinear::from_tucker(tucker2(&dense.w.value, 1).unwrap(), None);
+            let x = Tensor::randn(&[m, k], &mut rng);
+            group.bench_function(format!("{k}x{n}/m{m}"), |b| {
+                b.iter(|| fac.infer(black_box(&x)));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_backward(c: &mut Criterion) {
     let mut rng = Rng64::new(5);
     let dense = Linear::new(128, 128, false, &mut rng);
@@ -100,6 +119,7 @@ criterion_group!(
     benches,
     bench_dense_vs_factored,
     bench_fused_vs_unfused,
+    bench_rank1_served,
     bench_backward
 );
 criterion_main!(benches);

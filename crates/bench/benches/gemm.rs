@@ -101,11 +101,30 @@ fn bench_decode_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_prefill_shapes(c: &mut Criterion) {
+    // The eval prefill's dense projections: a 1024-token batch through
+    // tiny_llama's projection slots and lm_head. Each 120-row chunk reads
+    // its operands in place.
+    let mut rng = Rng64::new(12);
+    let mut group = c.benchmark_group("gemm_prefill_shapes");
+    let m = 1024usize;
+    for (k, n) in [(40usize, 40usize), (40, 112), (112, 40), (40, 256)] {
+        let x = Tensor::randn(&[m, k], &mut rng);
+        let w = Tensor::randn(&[k, n], &mut rng);
+        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
+        group.bench_function(format!("dense_{k}x{n}/m{m}"), |b| {
+            b.iter(|| matmul(black_box(&x), black_box(&w)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_square,
     bench_square_dtypes,
     bench_token_shapes,
-    bench_decode_shapes
+    bench_decode_shapes,
+    bench_prefill_shapes
 );
 criterion_main!(benches);

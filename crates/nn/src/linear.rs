@@ -402,26 +402,29 @@ mod tests {
     fn factored_backward_sees_the_fused_forward_stages() {
         // With Γ and U2 identities the fused forward returns its own `h1`
         // (= `h2`) as `y`, so at every panel dtype the factor gradients
-        // must be built from exactly `y`'s bits.
+        // must be built from exactly `y`'s bits. The second shape is the
+        // recovery batch at rank 1: its `x·U1` and `h1·Γ` stages run as
+        // row dots over several `MC`-row chunks at f32, and pack at 16 bits.
         let mut rng = Rng64::new(9);
-        let (m, k, r) = (7, 40, 3);
-        let mut eye = Tensor::zeros(&[r, r]);
-        for i in 0..r {
-            eye.set(&[i, i], 1.0);
+        for (m, k, r) in [(7, 40, 3), (384, 40, 1)] {
+            let mut eye = Tensor::zeros(&[r, r]);
+            for i in 0..r {
+                eye.set(&[i, i], 1.0);
+            }
+            let mut fac = FactoredLinear {
+                u1: Param::new(Tensor::randn(&[k, r], &mut rng)),
+                core: Param::new(eye.clone()),
+                u2: Param::new(eye),
+                b: None,
+            };
+            let x = Tensor::randn(&[m, k], &mut rng);
+            let dy = Tensor::randn(&[m, r], &mut rng);
+            let y = fac.infer(&x);
+            fac.backward(&x, &dy);
+            assert_eq!(fac.u2.grad, matmul_transa(&y, &dy), "({m},{k},{r})");
+            let dh2 = matmul_transb(&dy, &fac.u2.value);
+            assert_eq!(fac.core.grad, matmul_transa(&y, &dh2), "({m},{k},{r})");
         }
-        let mut fac = FactoredLinear {
-            u1: Param::new(Tensor::randn(&[k, r], &mut rng)),
-            core: Param::new(eye.clone()),
-            u2: Param::new(eye),
-            b: None,
-        };
-        let x = Tensor::randn(&[m, k], &mut rng);
-        let dy = Tensor::randn(&[m, r], &mut rng);
-        let y = fac.infer(&x);
-        fac.backward(&x, &dy);
-        assert_eq!(fac.u2.grad, matmul_transa(&y, &dy));
-        let dh2 = matmul_transb(&dy, &fac.u2.value);
-        assert_eq!(fac.core.grad, matmul_transa(&y, &dh2));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The engine computes `C += A · B` one `MR × NR` register tile at a time
 //! from panels packed by [`crate::pack`]; these tile kernels are the only
-//! compute kernels GEMM has. [`microkernel`] reads `f32` B panels and
+//! packed-panel kernels GEMM has. [`microkernel`] reads `f32` B panels and
 //! [`microkernel_u16`] widens `bf16`/`f16` ones. Two implementations of
 //! each share that contract:
 //!
@@ -12,8 +12,10 @@
 //!   as the fallback and as the reference side of the scalar-vs-SIMD
 //!   property tests.
 //!
-//! [`gemm_unpacked`] runs the same tiles straight from row-major operands,
-//! for products small enough that packing would only copy them.
+//! [`gemm_unpacked`] runs the same per-element chains straight from
+//! row-major operands, for `MC`-row chunks small enough that packing
+//! would only copy them: in the same tiles, or, for a product at most
+//! [`NARROW_N`] columns wide, as row dots over 8 rows at a time.
 //!
 //! Setting `LRD_FORCE_SCALAR=1` in the environment pins dispatch to the
 //! scalar kernel (CI runs the suite both ways so the portable path cannot
@@ -209,18 +211,32 @@ unsafe fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: 
     }
 }
 
-/// `C += A · B` for a product that fits one block of the packed engine
-/// (`k ≤ KC`), reading the operands where they lie: `a` is row-major `m × k`,
+/// Widest product (`n` columns of C) that [`gemm_unpacked`]'s AVX2 body
+/// runs as row dots (`dots_avx2`) instead of `NR`-column tiles. At `n = 1`
+/// (the `x·U1` and `h1·Γ` stages of a rank-1 factored product) a tile
+/// strip would run 16 lanes with 15 of them masked off. The value is the
+/// measured crossover (DESIGN.md §7).
+pub const NARROW_N: usize = 10;
+
+/// Lane masks: the 8 lanes starting at `8 - w` enable the first `w`.
+#[cfg(target_arch = "x86_64")]
+const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// `C += A · B` for a product whose operands fit one `KC` block of the
+/// packed engine, reading them where they lie: `a` is row-major `m × k`,
 /// `b` row-major `k × n`, `c` row-major `m × n`.
 ///
 /// The packed engine would copy every element of such a product into its
 /// panels once and read it back once, so this kernel skips the copy. It
 /// walks the same `MR × NR` tiles (`NR`-column strips outer, `MR`-row
 /// tiles inner, a short last tile where `m % MR != 0`) and masks the
-/// ragged right edge instead of zero-padding it. Each C element still
-/// accumulates its products from zero over `k` in order and is then added
-/// to C once, so on a single `KC` block the bits equal [`microkernel`]'s
-/// for the same backend.
+/// ragged right edge instead of zero-padding it. On `avx2+fma` a narrow
+/// product (`n ≤` [`NARROW_N`]) instead runs each block of 8 rows as row
+/// dots, one 8-lane accumulator per column, and leaves only the last
+/// `m % 8` rows to the tiles. Either way each C element still accumulates
+/// its products from zero over `k` in order and is then added to C once,
+/// so on a single `KC` block the bits equal [`microkernel`]'s for the same
+/// backend.
 pub fn gemm_unpacked(
     backend: Backend,
     m: usize,
@@ -272,8 +288,9 @@ fn gemm_unpacked_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &
     }
 }
 
-/// AVX2+FMA unpacked kernel: strips of `NR` columns, each swept by
-/// `R`-row tiles with `R` fixed at compile time.
+/// AVX2+FMA unpacked kernel: a narrow product's whole 8-row blocks as row
+/// dots, then strips of `NR` columns over the remaining rows, each swept
+/// by `R`-row tiles with `R` fixed at compile time.
 ///
 /// # Safety
 ///
@@ -284,9 +301,16 @@ fn gemm_unpacked_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn gemm_unpacked_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut rows_done = 0;
+    if n <= NARROW_N && m >= 8 {
+        rows_done = m - m % 8;
+        // SAFETY: rows `0..rows_done` of the operands the caller vouches
+        // for, which is `dots_avx2`'s contract.
+        unsafe { dots_avx2(rows_done, k, n, ap, bp, cp) };
+    }
     for j0 in (0..n).step_by(NR) {
         let nr = NR.min(n - j0);
-        let mut i0 = 0;
+        let mut i0 = rows_done;
         while i0 < m {
             let mr = MR.min(m - i0);
             // SAFETY: rows `i0..i0 + mr` and columns `j0..j0 + nr` lie
@@ -306,6 +330,148 @@ unsafe fn gemm_unpacked_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32],
             i0 += mr;
         }
     }
+}
+
+/// Row dots for a narrow product (`n ≤` [`NARROW_N`]): dispatches to
+/// [`dots_avx2_n`] with `N = n`. Kept out of line so the tile loop of
+/// [`gemm_unpacked_avx2`] compiles as it does without it.
+///
+/// # Safety
+///
+/// As [`dots_avx2_n`], with `N = n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline(never)]
+unsafe fn dots_avx2(m8: usize, k: usize, n: usize, a: *const f32, b: *const f32, c: *mut f32) {
+    // SAFETY: forwarded from this fn's contract.
+    unsafe {
+        match n {
+            1 => dots_avx2_n::<1>(m8, k, a, b, c),
+            2 => dots_avx2_n::<2>(m8, k, a, b, c),
+            3 => dots_avx2_n::<3>(m8, k, a, b, c),
+            4 => dots_avx2_n::<4>(m8, k, a, b, c),
+            5 => dots_avx2_n::<5>(m8, k, a, b, c),
+            6 => dots_avx2_n::<6>(m8, k, a, b, c),
+            7 => dots_avx2_n::<7>(m8, k, a, b, c),
+            8 => dots_avx2_n::<8>(m8, k, a, b, c),
+            9 => dots_avx2_n::<9>(m8, k, a, b, c),
+            _ => dots_avx2_n::<10>(m8, k, a, b, c),
+        }
+    }
+}
+
+/// Row dots for a product `N` columns wide: `C[0..m8] += A[0..m8] · B`,
+/// 8 rows at a time (`m8 % 8 == 0`). Each 8-row block of A is transposed
+/// in registers, 8 k-steps per `8 × 8` transpose, so lane `r` of step `s`
+/// holds `A[i0 + r][kk + s]`. That vector then feeds all `N` columns: one
+/// FMA into column `j`'s accumulator per k-step, with `B[kk + s][j]`
+/// broadcast. Lane `r` of accumulator `j` is therefore C element
+/// `(i0 + r, j)`'s chain, from `+0.0` in k order, exactly as a tile lane
+/// runs it; it is added to C once at the end.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2 and FMA, that `k > 0`, that
+/// `a` addresses `m8` rows of `k` values at stride `k`, that `b`
+/// addresses `k` rows of `N` values, and that `c` addresses `m8` rows of
+/// `N` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn dots_avx2_n<const N: usize>(
+    m8: usize,
+    k: usize,
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: the caller upholds this fn's contract. Full 8-step blocks
+    // read `A[i0 + r][kk..kk + 8]` inside row `i0 + r`; the last, short
+    // block reads through a lane mask, which never accesses a disabled
+    // lane. Stores touch only C elements `(i0..i0 + 8, 0..N)`.
+    unsafe {
+        let mut i0 = 0;
+        while i0 < m8 {
+            let at = a.add(i0 * k);
+            let mut acc = [_mm256_setzero_ps(); N];
+            let mut kk = 0;
+            while kk < k {
+                let w = 8.min(k - kk);
+                let mut rows = [_mm256_setzero_ps(); 8];
+                if w == 8 {
+                    for (r, v) in rows.iter_mut().enumerate() {
+                        *v = _mm256_loadu_ps(at.add(r * k + kk));
+                    }
+                } else {
+                    let mask = _mm256_loadu_si256(LANES.as_ptr().add(8 - w) as *const __m256i);
+                    for (r, v) in rows.iter_mut().enumerate() {
+                        *v = _mm256_maskload_ps(at.add(r * k + kk), mask);
+                    }
+                }
+                let steps = transpose8(rows);
+                for (s, &col) in steps[..w].iter().enumerate() {
+                    let brow = b.add((kk + s) * N);
+                    for (j, acc_j) in acc.iter_mut().enumerate() {
+                        *acc_j = _mm256_fmadd_ps(col, _mm256_broadcast_ss(&*brow.add(j)), *acc_j);
+                    }
+                }
+                kk += w;
+            }
+            let dst = c.add(i0 * N);
+            if N == 1 {
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc[0]));
+            } else {
+                for (j, acc_j) in acc.iter().enumerate() {
+                    let mut lanes = [0.0f32; 8];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), *acc_j);
+                    for (r, &v) in lanes.iter().enumerate() {
+                        *dst.add(r * N + j) += v;
+                    }
+                }
+            }
+            i0 += 8;
+        }
+    }
+}
+
+/// `8 × 8` transpose in registers: lane `r` of output `s` is lane `s` of
+/// input `r`. Pure data movement, so every value keeps its bits.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8(r: [core::arch::x86_64::__m256; 8]) -> [core::arch::x86_64::__m256; 8] {
+    use core::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
 }
 
 /// One `R × nr` tile of [`gemm_unpacked_avx2`] (`nr ≤ NR`): `R` broadcasts
@@ -332,8 +498,6 @@ unsafe fn tile_avx2<const R: usize>(
     nr: usize,
 ) {
     use core::arch::x86_64::*;
-    /// Lane masks: the 8 lanes starting at `8 - w` enable the first `w`.
-    const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
     let mut lo = [_mm256_setzero_ps(); R];
     let mut hi = [_mm256_setzero_ps(); R];
     // SAFETY: the caller upholds this fn's contract. Full tiles touch only
@@ -601,8 +765,118 @@ unsafe fn microkernel_avx2_f16(kc: usize, a: &[f32], b: &[u16], c: &mut [f32], l
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::rng::Rng64;
+
+    /// The oracle every GEMM route must equal bit for bit: C element
+    /// `(i, j)` as its explicit chain, from `+0.0` over `k` in order
+    /// (`mul_add` on `avx2+fma`, `acc += a·b` on scalar), added to a zero C
+    /// once per `split`-deep block of k, as the engine splits at `KC`.
+    pub(crate) fn chain_reference(
+        backend: Backend,
+        [m, k, n]: [usize; 3],
+        a: &[f32],
+        b: &[f32],
+        split: usize,
+    ) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for k0 in (0..k).step_by(split) {
+                    let mut acc = 0.0f32;
+                    for kk in k0..(k0 + split).min(k) {
+                        let (x, y) = (a[i * k + kk], b[kk * n + j]);
+                        acc = match backend {
+                            Backend::Scalar => acc + x * y,
+                            Backend::Avx2Fma => x.mul_add(y, acc),
+                        };
+                    }
+                    c[i * n + j] += acc;
+                }
+            }
+        }
+        c
+    }
+
+    /// Asserts `got` equals `want` bit for bit, counting any two NaNs as
+    /// equal (which input NaN an FMA propagates is not part of the
+    /// contract).
+    pub(crate) fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}: element {i}: {x:e} ({:#x}) vs {y:e} ({:#x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+
+    /// Random normal values with `-0.0`, `±inf` and NaN planted at a few
+    /// seeded positions when `specials` is set.
+    pub(crate) fn values(len: usize, rng: &mut Rng64, specials: bool) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
+        if specials {
+            for special in [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0] {
+                let at = (rng.next_u64() % len as u64) as usize;
+                v[at] = special;
+            }
+        }
+        v
+    }
+
+    /// The backends this host can run.
+    pub(crate) fn backends() -> Vec<Backend> {
+        std::iter::once(Backend::Scalar)
+            .chain(Backend::detect_simd())
+            .collect()
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "millions of multiply-adds")]
+    fn unpacked_routes_match_each_elements_chain() {
+        // Row dots (`n ≤ NARROW_N`, whole 8-row blocks), the tiles left
+        // after them (`m % 8` rows), and plain tiles (`n > NARROW_N`),
+        // against each element's chain, with and without special values.
+        let mut rng = Rng64::new(41);
+        let ms = (1..=17).chain([32, 1024]);
+        for m in ms {
+            for k in [1usize, 7, 8, 9, 40, 112, 256, 257] {
+                for n in (1..=NARROW_N + 1).chain([NR + 1]) {
+                    let specials = (m + k + n) % 3 == 0;
+                    let a = values(m * k, &mut rng, specials);
+                    let b = values(k * n, &mut rng, specials);
+                    for backend in backends() {
+                        let mut c = vec![0.0f32; m * n];
+                        gemm_unpacked(backend, m, k, n, &a, &b, &mut c);
+                        let want = chain_reference(backend, [m, k, n], &a, &b, k);
+                        assert_same_bits(&c, &want, &format!("{backend:?} ({m},{k},{n})"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpacked_adds_each_chain_to_c_once() {
+        // C is accumulated into, not overwritten: each element gains its
+        // whole chain in one add, whatever values C already holds.
+        let mut rng = Rng64::new(42);
+        for (m, k, n) in [(16usize, 40usize, 1usize), (24, 9, 3), (13, 40, NARROW_N)] {
+            let a = values(m * k, &mut rng, false);
+            let b = values(k * n, &mut rng, false);
+            let c0 = values(m * n, &mut rng, true);
+            for backend in backends() {
+                let mut c = c0.clone();
+                gemm_unpacked(backend, m, k, n, &a, &b, &mut c);
+                let chains = chain_reference(backend, [m, k, n], &a, &b, k);
+                let want: Vec<f32> = c0.iter().zip(&chains).map(|(x, y)| x + y).collect();
+                assert_same_bits(&c, &want, &format!("{backend:?} ({m},{k},{n})"));
+            }
+        }
+    }
 
     fn naive_tile(kc: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0f32; MR * NR];

@@ -16,16 +16,19 @@
 //! (`macro_kernel`) runs every packed `(jc, pc)` block of B, whether the
 //! block was packed for this call or prepacked once by a plan.
 //!
-//! One exception skips the packing: a product (or a threaded row band of
-//! one) that fits a single block — `m ≤ MC`, `k ≤ KC`, `n ≤ NC`, and
-//! `m·n ≤ 32·NC` (see `in_place`) — with `f32` panels and neither
-//! operand transposed. Packing such a product would copy each element
-//! once and read it once, so [`kernel::gemm_unpacked`] reads A and B where
-//! they lie instead, in the same tiles and the same per-element
-//! accumulation order; the bits are unchanged. Every decode projection,
-//! dense and factored, takes this route. The route depends on the shape
-//! alone, so it is the same on both backends. Transposed products,
-//! 16-bit panels, [`FactoredPlan`] and multi-block products still pack.
+//! One exception skips the packing: an `f32` product with neither operand
+//! transposed whose `MC`-row chunks each fit a single block — `k ≤ KC`,
+//! `n ≤ NC`, and `min(m, MC)·n ≤ 32·NC` (see `in_place`) — at any height
+//! `m`. Packing such a chunk would copy each element once and read it
+//! once, so [`kernel::gemm_unpacked`] reads each chunk of A, and B, where
+//! they lie instead, in the same per-element accumulation order; the bits
+//! are unchanged. A narrow product (`n ≤` [`kernel::NARROW_N`], such as
+//! the `x·U1` and `h1·Γ` stages of a rank-1 factored product) runs there
+//! as row dots rather than mostly-masked tiles. Every decode projection
+//! and every eval prefill projection of the served model, dense and
+//! factored, takes this route. The route depends on the shape alone, so
+//! it is the same on both backends. Transposed products, 16-bit panels,
+//! `k > KC` and [`FactoredPlan`] still pack.
 //!
 //! Large problems are threaded with `std::thread::scope` over row bands of
 //! C. Results are deterministic: each C element's accumulation order over k
@@ -222,15 +225,16 @@ fn macro_kernel(
     bytes_packed
 }
 
-/// Whether an `m × k · k × n` product skips packing. It must be a single
-/// block of the packed loop nest (`m ≤ MC`, `k ≤ KC`, `n ≤ NC`), where
-/// packing would copy each operand element once and read it back once.
-/// It must also have `m·n ≤ 32·NC`: reading B in place re-reads each
+/// Whether an `m × k · k × n` product skips packing, decided on its
+/// `MC`-row chunks, so at any height `m`. Each chunk must be a single
+/// block of the packed loop nest (`k ≤ KC`, `n ≤ NC`), where packing
+/// would copy each operand element once and read it back once. It must
+/// also have `min(m, MC)·n ≤ 32·NC`: reading B in place re-reads each
 /// `NR`-column strip at row stride `n` once per `MR`-row tile, and at
 /// `n = NC` (4 KB rows) that lost to packing from `m ≈ 90` rows up, while
 /// every measured shape inside the bound won or tied (DESIGN.md §7).
 fn in_place(m: usize, k: usize, n: usize) -> bool {
-    m <= MC && k <= KC && n <= NC && m * n <= 32 * NC
+    k <= KC && n <= NC && m.min(MC) * n <= 32 * NC
 }
 
 /// Serial packed GEMM over one row band: `C[i0..i0+m][..] += A · B`, where
@@ -238,9 +242,10 @@ fn in_place(m: usize, k: usize, n: usize) -> bool {
 /// are stored at `dtype` (A panels always stay `f32`). Degenerate
 /// dimensions (`m`, `n`, or `k` of zero) are no-ops.
 ///
-/// A band that is [`in_place`] with `f32` panels and untransposed
-/// operands skips packing: [`kernel::gemm_unpacked`] reads A and B in
-/// place with the same per-element accumulation order, so the bits match.
+/// A band that is [`in_place`], with `f32` panels and untransposed
+/// operands, skips packing: [`kernel::gemm_unpacked`] reads each `MC`-row
+/// chunk of A, and B, in place with the same per-element accumulation
+/// order, so the bits match.
 fn gemm_block(
     backend: Backend,
     dtype: KernelDtype,
@@ -256,7 +261,11 @@ fn gemm_block(
     }
     if let (KernelDtype::F32, Some(a_data), Some(b_data)) = (dtype, a.row_major(), b.row_major()) {
         if in_place(m, k, n) {
-            kernel::gemm_unpacked(backend, m, k, n, &a_data[i0 * k..], b_data, c_band);
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                let a_chunk = &a_data[(i0 + ic) * k..];
+                kernel::gemm_unpacked(backend, mc, k, n, a_chunk, b_data, &mut c_band[ic * n..]);
+            }
             return;
         }
     }
@@ -731,13 +740,13 @@ impl FactoredPlan {
 ///
 /// Every worker streams its row chunks through all three GEMM stages with
 /// the rank-`r` intermediates held in cache-blocked scratch — no heap
-/// `Tensor` intermediates. When every stage is small enough to skip
-/// packing (see the module docs) and panels are `f32` — every decode
-/// projection — the stages read the factors in place and nothing is
-/// packed. Otherwise one pass packs the three factors at the active
-/// storage dtype and every chunk reuses those panels; callers with static
-/// factors and many such products should build a [`FactoredPlan`] once
-/// instead.
+/// `Tensor` intermediates. When every stage of an `MC`-row chunk can skip
+/// packing (see the module docs) and panels are `f32` — every decode and
+/// prefill projection of the served model — the stages read the factors
+/// in place at any height and nothing is packed. Otherwise one pass packs
+/// the three factors at the active storage dtype and every chunk reuses
+/// those panels; callers with static factors and many such products
+/// should build a [`FactoredPlan`] once instead.
 ///
 /// With `f32` panels the result is bit-identical to the unfused
 /// composition `matmul(&matmul(&matmul(x, u1), core), u2)` at any thread
@@ -801,6 +810,8 @@ pub fn mode_n_product(t: &Tensor, m: &Tensor, mode: usize) -> Tensor {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::{assert_same_bits, backends, chain_reference, values};
+    use crate::kernel::NARROW_N;
     use crate::rng::Rng64;
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -1113,15 +1124,91 @@ mod tests {
         }
     }
 
+    /// Heights on each side of every chunk bound, up to a prefill batch.
+    fn route_heights() -> impl Iterator<Item = usize> {
+        (1..=17).chain([32, MC, MC + 1, 2 * MC + 1, 1024])
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "millions of multiply-adds")]
+    fn in_place_routes_match_chains_and_the_packed_engine() {
+        // `matmul` reads every `MC`-row chunk in place when the chunk
+        // qualifies (narrow products as row dots), and packs when `k > KC`,
+        // where each chain splits at `KC`. The oracles: each element's
+        // explicit chain, and the packed engine through `Trans::A`, which
+        // never reads in place. Both thread limits give the same bits.
+        let mut rng = Rng64::new(43);
+        for m in route_heights() {
+            for k in [1usize, 40, 112, KC, KC + 1] {
+                for n in [1, NARROW_N, NARROW_N + 1, 40] {
+                    let specials = (m + k + n) % 4 == 0;
+                    let a = Tensor::from_vec(&[m, k], values(m * k, &mut rng, specials));
+                    let b = Tensor::from_vec(&[k, n], values(k * n, &mut rng, specials));
+                    let at = a.transpose();
+                    for backend in backends() {
+                        let want = chain_reference(backend, [m, k, n], a.data(), b.data(), KC);
+                        let packed = gemm(backend, KernelDtype::F32, Trans::A, &at, &b);
+                        let what = format!("{backend:?} ({m},{k},{n})");
+                        assert_same_bits(packed.data(), &want, &format!("packed {what}"));
+                        for limit in [1, 3] {
+                            let prev = set_thread_limit(limit);
+                            let got = gemm(backend, KernelDtype::F32, Trans::No, &a, &b);
+                            set_thread_limit(prev);
+                            assert_same_bits(got.data(), &want, &format!("{what} limit {limit}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "millions of multiply-adds")]
+    fn in_place_factored_stages_match_chains_and_the_plan() {
+        // A factored product whose chunks all qualify reads its factors in
+        // place at any height; a `FactoredPlan` always packs. Each stage
+        // must be the chain of the previous stage's output.
+        let mut rng = Rng64::new(44);
+        for m in route_heights() {
+            for (k, r, n) in [
+                (40usize, 1usize, 40usize),
+                (40, 1, 112),
+                (112, 1, 40),
+                (40, NARROW_N + 1, 40),
+            ] {
+                let specials = m % 5 == 0;
+                let x = Tensor::from_vec(&[m, k], values(m * k, &mut rng, specials));
+                let [u1, core, u2] = [[k, r], [r, r], [r, n]]
+                    .map(|[p, q]| Tensor::from_vec(&[p, q], values(p * q, &mut rng, specials)));
+                let plan = FactoredPlan::with_dtype(KernelDtype::F32, &u1, &core, &u2);
+                for backend in backends() {
+                    let h1 = chain_reference(backend, [m, k, r], x.data(), u1.data(), KC);
+                    let h2 = chain_reference(backend, [m, r, r], &h1, core.data(), KC);
+                    let want = chain_reference(backend, [m, r, n], &h2, u2.data(), KC);
+                    let what = format!("{backend:?} ({m},{k},{r},{n})");
+                    let planned = plan.matmul_on(backend, &x);
+                    assert_same_bits(planned.data(), &want, &format!("plan {what}"));
+                    for limit in [1, 3] {
+                        let prev = set_thread_limit(limit);
+                        let got =
+                            factored_matmul_with(backend, KernelDtype::F32, &x, &u1, &core, &u2);
+                        set_thread_limit(prev);
+                        assert_same_bits(got.data(), &want, &format!("{what} limit {limit}"));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_bytes_packed_counter_advances() {
-        // One row past MC, so the product is two blocks and must pack.
-        // (One-block products pack nothing; `tests/packed_bytes.rs` checks
-        // that in a process of its own, where no other GEMM moves the
-        // global counter.)
+        // One k-step past KC, so the product is two blocks and must pack.
+        // (Products whose chunks are one block pack nothing;
+        // `tests/packed_bytes.rs` checks that in a process of its own,
+        // where no other GEMM moves the global counter.)
         let mut rng = Rng64::new(39);
-        let a = Tensor::randn(&[MC + 1, 40], &mut rng);
-        let b = Tensor::randn(&[40, 24], &mut rng);
+        let a = Tensor::randn(&[8, KC + 1], &mut rng);
+        let b = Tensor::randn(&[KC + 1, 24], &mut rng);
         let before = lrd_trace::counters::get(Counter::GemmBytesPacked);
         let _ = matmul(&a, &b);
         let after = lrd_trace::counters::get(Counter::GemmBytesPacked);

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use lrd_tensor::dtype::KernelDtype;
-use lrd_tensor::kernel::{Backend, NR};
+use lrd_tensor::kernel::{Backend, NARROW_N, NR};
 use lrd_tensor::matmul::{
     factored_matmul_with, gemm, matmul, matmul_transa, matmul_transb, mode_n_product,
     set_thread_limit, FactoredPlan, Trans, KC, MC, NC,
@@ -110,6 +110,75 @@ fn assert_within_gamma_bound(a: &Tensor, b: &Tensor, c: &Tensor) -> Result<(), T
         }
     }
     Ok(())
+}
+
+/// Strategy: shapes `(m, k, n, seed, specials)` for the in-place routes —
+/// `m` drawn at and across each `MC`-row chunk bound up to a prefill batch
+/// of 1024, `k` at the model's widths and on both sides of `KC`, and `n`
+/// on both sides of the row-dot bound `NARROW_N` — with `-0.0`, `±inf` and
+/// NaN planted in the operands in half the cases.
+fn route_shape() -> impl Strategy<Value = (usize, usize, usize, u64, bool)> {
+    (any::<u64>(), any::<u64>()).prop_map(|(pick, seed)| {
+        let pick_of = |options: &[usize], x: u64| options[(x as usize) % options.len()];
+        let m = match pick % 2 {
+            0 => 1 + (pick >> 1) as usize % 17,
+            _ => pick_of(&[32, MC, MC + 1, 2 * MC + 1, 1024], pick >> 1),
+        };
+        let k = match (pick >> 8) % 2 {
+            0 => 1 + (pick >> 9) as usize % (KC + 1),
+            _ => pick_of(&[1, 40, 112, KC, KC + 1], pick >> 9),
+        };
+        let n = match (pick >> 24) % 4 {
+            0 => NR + 1,
+            _ => 1 + (pick >> 26) as usize % (NARROW_N + 2),
+        };
+        (m, k, n, seed, (pick >> 40) % 2 == 0)
+    })
+}
+
+/// C element `(i, j)` of `a · b` as its explicit chain: from `+0.0` over
+/// each `KC`-deep block of k in order (`mul_add` on `avx2+fma`,
+/// `acc += a·b` on scalar), each block's sum added to a zero C once.
+fn chain_reference(backend: Backend, a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.data(), b.data());
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for k0 in (0..k).step_by(KC) {
+                let mut acc = 0.0f32;
+                for kk in k0..(k0 + KC).min(k) {
+                    let (x, y) = (a[i * k + kk], b[kk * n + j]);
+                    acc = match backend {
+                        Backend::Scalar => acc + x * y,
+                        Backend::Avx2Fma => x.mul_add(y, acc),
+                    };
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+    c
+}
+
+/// `got` equals `want` bit for bit, counting any two NaNs as equal.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.iter()
+        .zip(want)
+        .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// A random `rows × cols` matrix with `-0.0`, `±inf` and NaN planted at a
+/// few positions when `specials` is set.
+fn with_specials(rows: usize, cols: usize, rng: &mut Rng64, specials: bool) -> Tensor {
+    let mut t = Tensor::randn(&[rows, cols], rng);
+    if specials {
+        for v in [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let at = (rng.next_u64() % (rows * cols) as u64) as usize;
+            t.data_mut()[at] = v;
+        }
+    }
+    t
 }
 
 /// Strategy: factored-product shapes `([m, k, r1, r2, n], seed)` hitting
@@ -226,6 +295,30 @@ proptest! {
         prop_assert_eq!(&direct, &matmul_transb(&a, &b.transpose()), "({},{},{})", m, k, n);
         prop_assert_eq!(&direct, &matmul_transa(&a.transpose(), &b), "({},{},{})", m, k, n);
         assert_within_gamma_bound(&a, &b, &direct)?;
+    }
+
+    #[test]
+    fn in_place_routes_match_each_elements_chain(case in route_shape()) {
+        // Every route `matmul` can take — row dots, unpacked tiles, and
+        // packing past `KC` — must equal each element's explicit chain and
+        // the always-packing `Trans::A` engine, on both backends and at
+        // thread limits 1 and 3.
+        let (m, k, n, seed, specials) = case;
+        let mut rng = Rng64::new(seed);
+        let a = with_specials(m, k, &mut rng, specials);
+        let b = with_specials(k, n, &mut rng, specials);
+        let at = a.transpose();
+        for backend in std::iter::once(Backend::Scalar).chain(Backend::detect_simd()) {
+            let want = chain_reference(backend, &a, &b);
+            let packed = gemm(backend, KernelDtype::F32, Trans::A, &at, &b);
+            prop_assert!(same_bits(packed.data(), &want), "packed {backend:?} ({m},{k},{n})");
+            for limit in [1, 3] {
+                let prev = set_thread_limit(limit);
+                let got = gemm(backend, KernelDtype::F32, Trans::No, &a, &b);
+                set_thread_limit(prev);
+                prop_assert!(same_bits(got.data(), &want), "{backend:?} ({m},{k},{n}) limit {limit}");
+            }
+        }
     }
 
     #[test]
