@@ -1,9 +1,11 @@
 //! Evaluation-harness throughput: multiple-choice scoring and greedy
-//! exact-match generation on the tiny model.
+//! exact-match generation on the tiny model, and multiple-choice scoring
+//! at the Table-4 sweep's shape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lrd_eval::harness::{evaluate, EvalOptions};
-use lrd_eval::tasks::{ArcEasy, Gsm8k};
+use lrd_eval::sample::Benchmark;
+use lrd_eval::tasks::{ArcEasy, Gsm8k, HellaSwag};
 use lrd_eval::vocab;
 use lrd_eval::World;
 use lrd_nn::{ArchKind, TransformerConfig, TransformerLm};
@@ -52,5 +54,32 @@ fn bench_exact_match(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_multiple_choice, bench_exact_match);
+/// One benchmark of a sweep point: the 32-layer tiny-Llama widths and 8
+/// samples at batch 64, for 1-token choices (ArcEasy) and 3-token choices
+/// (HellaSwag).
+fn bench_multiple_choice_sweep_shape(c: &mut Criterion) {
+    let m = TransformerLm::new(TransformerConfig::tiny_llama(), &mut Rng64::new(8));
+    let w = World::new(1);
+    let opts = EvalOptions {
+        n_samples: 8,
+        seed: 3,
+        batch_size: 64,
+        threads: 0,
+    };
+    let mut group = c.benchmark_group("multiple_choice_tiny_llama_8");
+    let benches: [(&str, &dyn Benchmark); 2] = [("arc_easy", &ArcEasy), ("hellaswag", &HellaSwag)];
+    for (name, bench) in benches {
+        group.bench_function(name, |b| {
+            b.iter(|| evaluate(black_box(&m), bench, &w, &opts));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_multiple_choice,
+    bench_exact_match,
+    bench_multiple_choice_sweep_shape
+);
 criterion_main!(benches);

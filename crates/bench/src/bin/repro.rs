@@ -57,9 +57,8 @@ struct Command {
 /// How a command runs.
 #[derive(Clone, Copy)]
 enum Run {
-    /// Analytic, no model. Gets the command's name: fig10–12 share one
-    /// body and differ only in the CSV they write.
-    Table(fn(&Args, &str)),
+    /// Analytic, no model.
+    Table(fn()),
     /// On the run's one tiny-Llama study executor, built on first use, so
     /// presets repeated across the figures of `all` hit one cache. The
     /// executor keys journal records by the command's name.
@@ -99,7 +98,7 @@ impl Default for &'static Command {
 
 /// Every command, in `--help` order.
 #[rustfmt::skip]
-const COMMANDS: [Command; 22] = [
+const COMMANDS: [Command; 20] = [
     //  name         in all shard  runner                 help
     cmd("all",       false, false, All,                   "the default; runs, in order:"),
     cmd("table1",    true,  false, Table(cmd_table1),     "model size, MACs, compute-to-size ratio"),
@@ -112,9 +111,8 @@ const COMMANDS: [Command; 22] = [
     cmd("fig7",      true,  true,  Study(cmd_fig7),       "per-layer sensitivity"),
     cmd("fig8",      true,  true,  Study(cmd_fig8),       "decomposed-layer distance"),
     cmd("fig9",      true,  true,  Study(cmd_fig9),       "accuracy vs parameter reduction"),
-    cmd("fig10",     true,  false, Table(cmd_efficiency), "speedup vs parameter reduction (4×A100)"),
-    cmd("fig11",     false, false, Table(cmd_efficiency), "energy vs parameter reduction (4×A100)"),
-    cmd("fig12",     false, false, Table(cmd_efficiency), "memory vs parameter reduction (4×A100)"),
+    cmd("fig10",     true,  false, Table(cmd_efficiency), "Figs. 10–12: speedup, energy and memory\n\
+                                                           vs parameter reduction (4×A100)"),
     cmd("bert",      true,  true,  Own(cmd_bert),         "BERT per-tensor sensitivity (Figs. 5/6)"),
     cmd("recovery",  true,  false, Study(cmd_recovery),   "§6 fine-tuning recovery"),
     cmd("serve",     true,  false, Own(cmd_serve),        "continuous-batching load test, dense\n\
@@ -489,7 +487,7 @@ fn baseline_row(exec: &StudyExecutor, benches: &[DynBenchmark]) -> Vec<StudyPoin
     )
 }
 
-fn cmd_table1(_args: &Args, _name: &str) {
+fn cmd_table1() {
     println!("\n=== Table 1: model size, computations, compute-to-model-size ratio ===");
     let rows: Vec<Vec<String>> = table1_models()
         .iter()
@@ -524,7 +522,7 @@ fn cmd_table1(_args: &Args, _name: &str) {
     );
 }
 
-fn cmd_table2(_args: &Args, _name: &str) {
+fn cmd_table2() {
     println!("\n=== Table 2: decomposition design-space sizes (Theorem 3.2) ===");
     let rows: Vec<Vec<String>> = table2()
         .iter()
@@ -542,7 +540,7 @@ fn cmd_table2(_args: &Args, _name: &str) {
     emit_table("table2.csv", &headers, &rows);
 }
 
-fn cmd_table4(_args: &Args, _name: &str) {
+fn cmd_table4() {
     println!("\n=== Table 4: decomposed-layer presets (Llama2-7B, rank 1, all tensors) ===");
     let desc = llama2_7b();
     let rows: Vec<Vec<String>> = table4_presets()
@@ -741,7 +739,7 @@ fn cmd_fig9(_args: &Args, exec: &StudyExecutor) {
     );
 }
 
-fn cmd_efficiency(_args: &Args, which: &str) {
+fn cmd_efficiency() {
     let sys = SystemSpec::quad_a100();
     let desc = llama2_7b();
     let points = efficiency_sweep(&sys, &desc, BATCH_PER_GPU, SEQ);
@@ -773,7 +771,7 @@ fn cmd_efficiency(_args: &Args, which: &str) {
             ]
         })
         .collect();
-    emit_table(&format!("{which}.csv"), &headers, &rows);
+    emit_table("fig10.csv", &headers, &rows);
     // Per-percent slopes (the paper's headline ~0.5/0.5/0.4).
     if let Some(last) = points
         .iter()
@@ -850,7 +848,7 @@ fn cmd_spectra(_args: &Args, exec: &StudyExecutor) {
 /// Extension beyond the paper: decode-phase (single-token generation)
 /// latency sweep, where weight streaming dominates and low-rank savings
 /// approach the parameter reduction 1:1.
-fn cmd_decode(_args: &Args, _name: &str) {
+fn cmd_decode() {
     let sys = SystemSpec::quad_a100();
     let desc = llama2_7b();
     let points = study::decode_sweep(&sys, &desc, BATCH_PER_GPU, 512);
@@ -1450,7 +1448,7 @@ fn main() {
     };
     for command in commands {
         match command.run {
-            Run::Table(run) => run(&args, command.name),
+            Run::Table(run) => run(),
             Run::Study(run) => {
                 let exec = exec.get_or_init(|| {
                     let (model, world) = model.get_or_init(|| load_model(&args));

@@ -1,7 +1,7 @@
 //! Property-based tests for the transformer stack.
 
 use lrd_nn::act::{cross_entropy, log_softmax_rows, softmax_rows, swiglu, swiglu_backward};
-use lrd_nn::linear::{FactoredLinear, Linear};
+use lrd_nn::linear::{AnyLinear, FactoredLinear, Linear};
 use lrd_nn::norm::{LayerNorm, RmsNorm};
 use lrd_nn::rope::Rope;
 use lrd_nn::{ArchKind, TransformerConfig, TransformerLm};
@@ -270,5 +270,83 @@ proptest! {
         let (got_dg, got_du) = swiglu_backward(&g, &u, &dh);
         prop_assert_eq!(bits(&got_dg), bits(&dg));
         prop_assert_eq!(bits(&got_du), bits(&du));
+    }
+}
+
+/// The padding token id of the eval vocabulary, which right-pads batches.
+const PAD: usize = 0;
+
+/// A two-layer decoder at the tiny-Llama widths, with every block linear
+/// dense or replaced by its rank-1 factorization.
+fn tiny_llama_decoder(seed: u64, rank1: bool) -> TransformerLm {
+    let cfg = TransformerConfig {
+        n_layers: 2,
+        ..TransformerConfig::tiny_llama()
+    };
+    let mut model = TransformerLm::new(cfg, &mut Rng64::new(seed));
+    if rank1 {
+        for (_, _, slot) in model.visit_linears() {
+            let t = tucker2(&slot.effective_weight(), 1).expect("finite weights");
+            *slot = AnyLinear::Factored(FactoredLinear::from_tucker(t, None));
+        }
+    }
+    model
+}
+
+fn row_bits(t: &Tensor, i: usize) -> Vec<u32> {
+    t.row(i).iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The harness's trimmed, deduplicated multiple-choice scoring rests on
+    /// this: under causal attention the logits row at position `t` has the
+    /// same bits alone, truncated to `t + 1` tokens, and inside a
+    /// right-padded batch of other sequences (batches here reach 160 rows,
+    /// past one `MC`-row GEMM chunk).
+    #[test]
+    fn logits_row_is_independent_of_later_tokens_and_of_its_batch(
+        seed in any::<u64>(),
+        rank1 in any::<bool>(),
+        len in 1usize..40,
+        extra in 0usize..12,
+        others in 1usize..4,
+        at in 0usize..4,
+    ) {
+        let model = tiny_llama_decoder(seed, rank1);
+        let vocab = model.config().vocab_size;
+        let mut rng = Rng64::new(seed ^ 0x5EED);
+        let seq: Vec<usize> = (0..len).map(|_| rng.below(vocab)).collect();
+        let alone = model.logits(&seq, 1);
+        for t in 0..len {
+            let cut = model.logits(&seq[..=t], 1);
+            prop_assert_eq!(row_bits(&cut, t), row_bits(&alone, t), "truncated to {} tokens", t + 1);
+        }
+        // The batch is padded to `width`; the other sequences have random
+        // lengths, and ours sits at row `at`.
+        let width = len + extra;
+        let at = at.min(others);
+        let mut flat = vec![PAD; (others + 1) * width];
+        for b in 0..=others {
+            let row = &mut flat[b * width..(b + 1) * width];
+            if b == at {
+                row[..len].copy_from_slice(&seq);
+            } else {
+                let n = 1 + rng.below(width);
+                for x in &mut row[..n] {
+                    *x = rng.below(vocab);
+                }
+            }
+        }
+        let batched = model.logits(&flat, others + 1);
+        for t in 0..len {
+            prop_assert_eq!(
+                row_bits(&batched, at * width + t),
+                row_bits(&alone, t),
+                "position {} in the batch",
+                t
+            );
+        }
     }
 }

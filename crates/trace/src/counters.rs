@@ -38,6 +38,9 @@ pub enum Counter {
     EvalSamplesScored,
     /// Cloze samples skipped because the prompt had no MASK token.
     EvalClozeMissingMask,
+    /// Token positions the eval harness feeds through `logits` for
+    /// multiple-choice and cloze scoring, padding included.
+    EvalTokensForwarded,
     /// Sweep points evaluated by study executors (including failed ones).
     SweepPoints,
     /// Sweep points whose decomposition failed (recorded, not fatal).
@@ -99,7 +102,7 @@ pub enum Counter {
 }
 
 /// Every counter, in metrics-document order.
-pub const ALL: [Counter; 32] = [
+pub const ALL: [Counter; 33] = [
     Counter::SvdJacobiCalls,
     Counter::SvdJacobiSweeps,
     Counter::SvdRandomizedCalls,
@@ -107,6 +110,7 @@ pub const ALL: [Counter; 32] = [
     Counter::CacheMisses,
     Counter::EvalSamplesScored,
     Counter::EvalClozeMissingMask,
+    Counter::EvalTokensForwarded,
     Counter::SweepPoints,
     Counter::SweepPointsFailed,
     Counter::SweepRetries,
@@ -145,6 +149,7 @@ impl Counter {
             Counter::CacheMisses => "cache_misses",
             Counter::EvalSamplesScored => "eval_samples_scored",
             Counter::EvalClozeMissingMask => "eval_cloze_missing_mask",
+            Counter::EvalTokensForwarded => "eval_tokens_forwarded",
             Counter::SweepPoints => "sweep_points",
             Counter::SweepPointsFailed => "sweep_points_failed",
             Counter::SweepRetries => "sweep_retries",

@@ -5,7 +5,7 @@
 
 use std::process::{Command, Output};
 
-const COMMANDS: [&str; 22] = [
+const COMMANDS: [&str; 20] = [
     "all",
     "table1",
     "table2",
@@ -18,8 +18,6 @@ const COMMANDS: [&str; 22] = [
     "fig8",
     "fig9",
     "fig10",
-    "fig11",
-    "fig12",
     "bert",
     "recovery",
     "serve",
