@@ -2,10 +2,14 @@
 //! one `decode_step_many` over `batch` sessions whose caches hold
 //! `context − 1` positions, so the step pushes one position and attends
 //! over `context`. The step includes the q/k/v/o projections and RoPE,
-//! as in serving. Plus the cost of filling one cache with pushes.
+//! as in serving. Plus the cost of filling one cache with pushes, and the
+//! prefill kernel on one causal sequence of the same head shape at the
+//! lengths eval scores: HellaSwag's 5 and 7 tokens, GSM8K's 53, and 48.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use lrd_nn::attention::{KvCache, MultiHeadAttention};
+use lrd_tensor::attention::{prefill_attention, prefill_scratch_len, SERVED};
+use lrd_tensor::kernel::Backend;
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
 use std::hint::black_box;
@@ -75,5 +79,36 @@ fn bench_push(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decode_attention, bench_push);
+/// One `prefill_attention` call: every head of a causal `seq`-token
+/// sequence, on the active backend.
+fn bench_prefill(c: &mut Criterion) {
+    let mut rng = Rng64::new(20);
+    let mut group = c.benchmark_group("prefill_attention");
+    for seq in [5usize, 7, 53, 48] {
+        let rows = |rng: &mut Rng64| Tensor::randn(&[seq, D_MODEL], rng).data().to_vec();
+        let (q, k, v) = (rows(&mut rng), rows(&mut rng), rows(&mut rng));
+        let mut scratch = vec![0.0; prefill_scratch_len(SERVED, seq)];
+        let mut ctx = vec![0.0; seq * D_MODEL];
+        group.bench_function(format!("seq{seq}"), |b| {
+            b.iter(|| {
+                prefill_attention(
+                    Backend::active(),
+                    SERVED,
+                    true,
+                    seq,
+                    black_box(&q),
+                    &k,
+                    &v,
+                    &mut scratch,
+                    &mut ctx,
+                    None,
+                );
+                black_box(ctx[0])
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_decode_attention, bench_push, bench_prefill);
 criterion_main!(benches);

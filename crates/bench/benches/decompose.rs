@@ -1,13 +1,15 @@
 //! Whole-model decomposition throughput: how long it takes to factor a
 //! trained model at the paper's operating points, the per-call cost of
-//! the Jacobi SVD at the served tiny-Llama's weight shapes, plus the
-//! simulated efficiency sweep itself.
+//! the Jacobi SVD at the served tiny-Llama's weight shapes and over all
+//! 224 of its weights, plus the simulated efficiency sweep itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lrd_bench::MODEL_SEED;
 use lrd_core::decompose::decompose_model;
 use lrd_core::space::DecompositionConfig;
 use lrd_core::study::efficiency_sweep;
 use lrd_hwsim::device::SystemSpec;
+use lrd_models::tiny::build_tiny_llama;
 use lrd_models::zoo::llama2_7b;
 use lrd_nn::{ArchKind, TransformerConfig, TransformerLm};
 use lrd_tensor::rng::Rng64;
@@ -50,7 +52,9 @@ fn bench_decompose_model(c: &mut Criterion) {
 }
 
 /// One `svd_jacobi` call at each weight shape the served tiny-Llama
-/// decomposes: attention 40×40, MLP gate/up 112×40 and down 40×112.
+/// decomposes: attention 40×40, MLP gate/up 112×40 and down 40×112. Then
+/// one call per weight of the untrained `build_tiny_llama(MODEL_SEED)`,
+/// all 224 per iteration: the SVDs a cold Table-4 sweep computes.
 fn bench_svd_jacobi(c: &mut Criterion) {
     let mut rng = Rng64::new(17);
     let mut group = c.benchmark_group("svd_jacobi");
@@ -60,6 +64,19 @@ fn bench_svd_jacobi(c: &mut Criterion) {
             b.iter(|| svd_jacobi(black_box(&a)).unwrap());
         });
     }
+    let mut model = build_tiny_llama(MODEL_SEED);
+    let weights: Vec<Tensor> = model
+        .visit_linears()
+        .into_iter()
+        .map(|(_, _, slot)| slot.effective_weight())
+        .collect();
+    group.bench_function(format!("tiny_llama_{}", weights.len()), |b| {
+        b.iter(|| {
+            for w in &weights {
+                black_box(svd_jacobi(black_box(w)).unwrap());
+            }
+        });
+    });
     group.finish();
 }
 

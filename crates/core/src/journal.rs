@@ -321,7 +321,8 @@ impl JournalRecord {
                 .ok_or("field \"param_reduction_pct\" missing or not a number")?,
             results,
             error,
-            retries: field_u64(&doc, "retries")? as u32,
+            retries: u32::try_from(field_u64(&doc, "retries")?)
+                .map_err(|_| "field \"retries\" exceeds u32")?,
         })
     }
 }
@@ -353,9 +354,11 @@ fn field_usize_arr(doc: &Json, key: &str) -> Result<Vec<usize>, String> {
         .ok_or_else(|| format!("field {key:?} holds a non-count entry"))
 }
 
+/// A JSON number as a count: a whole number in `0..=2⁵³`, the range an
+/// `f64` holds exactly and so the range [`Json::uint`] writes losslessly.
 fn num_to_u64(v: &Json) -> Option<u64> {
     let n = v.as_num()?;
-    (n >= 0.0 && n.fract() == 0.0 && n < 9.0e15).then_some(n as u64)
+    (n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64).then_some(n as u64)
 }
 
 /// The durable journal: an append-only JSONL checkpoint file with

@@ -4,6 +4,7 @@
 use lrd_core::compression::{decomposed_params, param_reduction_pct, tensor_compression_ratio};
 use lrd_core::decompose::{decompose_model, decompose_model_cached};
 use lrd_core::executor::{worker_budget, DecompositionCache};
+use lrd_core::faults::FaultPlan;
 use lrd_core::journal::{Journal, JournalRecord, Shard};
 use lrd_core::select::{spread_layers, strided_layers};
 use lrd_core::space::DecompositionConfig;
@@ -382,5 +383,151 @@ fn random_configs_apply_cleanly_to_live_model() {
         // Model still runs.
         let logits = m.logits(&[1, 2, 3], 1);
         assert!(logits.data().iter().all(|x| x.is_finite()));
+    }
+}
+
+/// Pieces the byte-parser fuzzers splice into their inputs: the parsers'
+/// own vocabulary (digits, separators, `inf`/`nan`, fault kinds, JSON
+/// punctuation and journal keys) and multi-byte characters.
+const FRAGMENTS: &[&str] = &[
+    "0",
+    "1",
+    "7",
+    "42",
+    "3.5",
+    "-1",
+    "1e400",
+    "-0",
+    "18446744073709551616",
+    "/",
+    ":",
+    ",",
+    " ",
+    "\t",
+    "inf",
+    "-inf",
+    "nan",
+    "NaN",
+    "svd",
+    "panic",
+    "nan-logits",
+    "decode-panic",
+    "slow-step",
+    "seed",
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    "\\",
+    "\\u00",
+    "\\ud800",
+    "null",
+    "true",
+    "lrd-journal",
+    "\"schema\":\"lrd-journal\"",
+    "\"schema_version\":1",
+    "\"status\":\"ok\"",
+    "\"fingerprint\":\"00ff\"",
+    "\"results\":[[\"a\",1,2]]",
+    "é",
+    "€",
+    "𝄞",
+    "\u{0}",
+    "\n",
+];
+
+/// Strings of up to 24 pieces, each a [`FRAGMENTS`] entry or (as often)
+/// an arbitrary character.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0..2 * FRAGMENTS.len(), any::<u32>()), 0..24).prop_map(|parts| {
+        parts
+            .into_iter()
+            .map(|(i, c)| match FRAGMENTS.get(i) {
+                Some(f) => (*f).to_string(),
+                None => char::from_u32(c % 0x11_0000)
+                    .unwrap_or('\u{fffd}')
+                    .to_string(),
+            })
+            .collect()
+    })
+}
+
+/// Counts a JSON number carries exactly: `0..=2⁵³`.
+fn arb_count() -> impl Strategy<Value = u64> {
+    0u64..=1 << 53
+}
+
+/// Any record `to_line` can write: arbitrary strings, exact counts, a
+/// finite reduction.
+fn arb_record() -> impl Strategy<Value = JournalRecord> {
+    (
+        (arb_text(), arb_text(), any::<bool>(), arb_text()),
+        (any::<u64>(), arb_count(), any::<u64>(), any::<u32>()),
+        (
+            proptest::collection::vec(arb_count(), 0..6),
+            proptest::collection::vec(arb_count(), 0..6),
+        ),
+        proptest::collection::vec((arb_text(), arb_count(), arb_count()), 0..4),
+    )
+        .prop_map(
+            |(
+                (figure, label, failed, error),
+                (fingerprint, rank, pct, retries),
+                (layers, tensors),
+                results,
+            )| {
+                let pct = f64::from_bits(pct);
+                JournalRecord {
+                    figure,
+                    fingerprint,
+                    label,
+                    rank: rank as usize,
+                    layers: layers.into_iter().map(|x| x as usize).collect(),
+                    tensors: tensors.into_iter().map(|x| x as usize).collect(),
+                    param_reduction_pct: if pct.is_finite() { pct } else { 0.0 },
+                    results,
+                    error: failed.then_some(error),
+                    retries,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fault_plan_parse_never_panics(text in arb_text()) {
+        // Ok or Err, never a panic; an accepted plan has rates in [0, 1].
+        if let Ok(plan) = FaultPlan::parse(&text) {
+            for rate in [plan.svd, plan.panic, plan.nan, plan.nan_logits, plan.decode_panic, plan.slow_step] {
+                prop_assert!((0.0..=1.0).contains(&rate), "{text:?} gave rate {rate}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_parse_never_panics_and_renders_back(text in arb_text()) {
+        if let Ok(shard) = Shard::parse(&text) {
+            prop_assert!(shard.index() < shard.count(), "{text:?}");
+            prop_assert_eq!(Shard::parse(&shard.to_string()), Ok(shard));
+        }
+    }
+
+    #[test]
+    fn journal_parse_line_never_panics(text in arb_text(), record in arb_record(), cut in any::<usize>()) {
+        let _ = JournalRecord::parse_line(&text);
+        // A torn or spliced line: a valid one cut at any character, with
+        // arbitrary text appended.
+        let line = record.to_line();
+        let at = line.char_indices().map(|(i, _)| i).nth(cut % line.chars().count()).unwrap_or(0);
+        let _ = JournalRecord::parse_line(&line[..at]);
+        let _ = JournalRecord::parse_line(&format!("{}{text}", &line[..at]));
+    }
+
+    #[test]
+    fn journal_lines_round_trip(record in arb_record()) {
+        prop_assert_eq!(JournalRecord::parse_line(&record.to_line()), Ok(record));
     }
 }

@@ -57,7 +57,9 @@
 //!
 //! The AVX2 kernel takes every shape: it transposes K into scratch once
 //! per sequence, computes scores for tiles of four queries × sixteen keys,
-//! and runs P·V with one vector lane per output element's chain.
+//! runs the softmax over whole vectors of each row (lanes past the row's
+//! keys are computed and never read), and runs P·V with one vector lane
+//! per output element's chain.
 
 use crate::exp;
 use crate::kernel::Backend;
@@ -420,6 +422,11 @@ const ROWS: usize = 4;
 /// Keys per score tile of the AVX2 prefill kernel: two vectors.
 const KEYS: usize = 16;
 
+/// Lane masks of the AVX2 prefill kernel: the 8 lanes starting at `8 −
+/// w` enable the first `w`.
+#[cfg(target_arch = "x86_64")]
+const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
 /// Length of the scratch buffer [`prefill_attention`] needs for a
 /// sequence of `seq` positions: K transposed, plus one tile of score rows.
 pub fn prefill_scratch_len(shape: HeadShape, seq: usize) -> usize {
@@ -734,53 +741,73 @@ unsafe fn score_tile<const R: usize>(
     }
 }
 
-/// Softmax of `R` score rows, row `r` over its first `keys[r]` entries:
-/// subtract the row max (order-free, NaN-ignoring as `f32::max`; the sign
-/// of a zero max cannot change `exp(s − max)`), `exp`, sum in order from
-/// `0.0` (the `R` rows as independent chains), multiply by `1/sum`.
+/// Softmax of `R` score rows, row `r` over its first `keys[r]` entries,
+/// with no scalar tail: per row, the max over the live entries (the last
+/// vector's dead lanes masked to `-inf`; order-free and NaN-ignoring as
+/// `f32::max`, and the sign of a zero max cannot change `exp(s − max)`),
+/// then `s − max` over whole vectors and `exp` over whole four-lane groups
+/// in place. Lanes past `keys[r]` hold scores of later keys or of the
+/// zero padding, so they are finite for finite inputs; they are computed
+/// and never read. Then the `R` in-order sums from `0.0` as independent
+/// chains, and `× 1/sum` over whole vectors.
 ///
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX2 and FMA, and that `scores`
-/// holds `ROWS` rows of `ld ≥ keys[r]`.
+/// holds `ROWS` rows of `ld ≥ keys[r].next_multiple_of(8)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
 unsafe fn softmax_tile<const R: usize>(keys: &[usize; R], scores: &mut [f32]) {
     use core::arch::x86_64::*;
     let ld = scores.len() / ROWS;
-    for (row, &n) in scores.chunks_exact_mut(ld).zip(keys) {
-        let row = &mut row[..n];
-        let mut vectors = row.chunks_exact(8);
-        // SAFETY: the caller guarantees AVX2+FMA; each load reads one
-        // whole 8-element chunk and the store fills `lanes`.
-        let max = unsafe {
+    let sp = scores.as_mut_ptr();
+    // SAFETY: the caller guarantees AVX2+FMA and the lengths: row `r`
+    // reads and writes `scores[r·ld..][..keys[r].next_multiple_of(8)]`,
+    // and the mask load reads `LANES[8 − w..][..8]` for `0 < w < 8`.
+    unsafe {
+        for (r, &n) in keys.iter().enumerate() {
+            let row = sp.add(r * ld);
+            let whole = n - n % 8;
             let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
-            for v in &mut vectors {
-                m = _mm256_max_ps(_mm256_loadu_ps(v.as_ptr()), m);
+            for t in (0..whole).step_by(8) {
+                m = _mm256_max_ps(_mm256_loadu_ps(row.add(t)), m);
             }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), m);
-            lanes
-                .iter()
-                .chain(vectors.remainder())
-                .fold(f32::NEG_INFINITY, |a, &b| a.max(b))
-        };
-        row.iter_mut().for_each(|x| *x -= max);
-        // SAFETY: the caller guarantees AVX2+FMA.
-        unsafe { exp::exp_avx2(row) };
-    }
-    let mut sums = [0.0f32; R];
-    for t in 0..keys[R - 1] {
-        for (r, sum) in sums.iter_mut().enumerate() {
-            if t < keys[r] {
-                *sum += scores[r * ld + t];
+            if whole < n {
+                let live = _mm256_loadu_ps(LANES.as_ptr().add(8 - (n - whole)).cast());
+                let tail = _mm256_blendv_ps(m, _mm256_loadu_ps(row.add(whole)), live);
+                m = _mm256_max_ps(tail, m);
+            }
+            let m = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps::<1>(m));
+            let m = _mm_max_ps(_mm_movehl_ps(m, m), m);
+            let m = _mm_max_ss(_mm_movehdup_ps(m), m);
+            let max = _mm256_broadcastss_ps(m);
+            for t in (0..n).step_by(8) {
+                _mm256_storeu_ps(row.add(t), _mm256_sub_ps(_mm256_loadu_ps(row.add(t)), max));
+            }
+            for t in (0..n).step_by(4) {
+                exp::exp4_avx2(std::slice::from_raw_parts_mut(row.add(t), 4));
             }
         }
-    }
-    for ((row, &n), sum) in scores.chunks_exact_mut(ld).zip(keys).zip(sums) {
-        let inv = 1.0 / sum;
-        row[..n].iter_mut().for_each(|e| *e *= inv);
+        let mut sums = [0.0f32; R];
+        for t in 0..keys[0] {
+            for (r, sum) in sums.iter_mut().enumerate() {
+                *sum += *sp.add(r * ld + t);
+            }
+        }
+        for t in keys[0]..keys[R - 1] {
+            for (r, sum) in sums.iter_mut().enumerate() {
+                if t < keys[r] {
+                    *sum += *sp.add(r * ld + t);
+                }
+            }
+        }
+        for ((r, &n), sum) in keys.iter().enumerate().zip(sums) {
+            let (row, inv) = (sp.add(r * ld), _mm256_set1_ps(1.0 / sum));
+            for t in (0..n).step_by(8) {
+                _mm256_storeu_ps(row.add(t), _mm256_mul_ps(_mm256_loadu_ps(row.add(t)), inv));
+            }
+        }
     }
 }
 
@@ -806,8 +833,6 @@ unsafe fn values_tile<const R: usize>(
     ctx: &mut [f32],
 ) {
     use core::arch::x86_64::*;
-    /// Lane masks: the 8 lanes starting at `8 - w` enable the first `w`.
-    const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
     let (hd, width, qw) = (
         s.shape.head_dim,
         s.shape.width(),

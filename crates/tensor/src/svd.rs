@@ -12,6 +12,7 @@
 //! Both are deterministic: the randomized path derives its sketch from a
 //! seed computed from the problem dimensions.
 
+use crate::kernel::Backend;
 use crate::matmul::{matmul, matmul_transa, matmul_transb};
 use crate::qr::qr_thin;
 use crate::rng::Rng64;
@@ -92,15 +93,14 @@ const JACOBI_EPS: f64 = 1e-12;
 /// Accurate to near machine precision for well-conditioned inputs; intended
 /// for matrices up to a few hundred rows/columns.
 ///
-/// The work matrix and `v` are stored column-major, so every Gram dot
-/// product and every rotation runs at unit stride. Each pair's Gram
-/// entries come from one fused pass, and two exact memos skip work whose
-/// result is already known: a column's squared norm is reused until the
-/// column is rotated, and a pair found settled is not revisited while
-/// neither of its columns has been rotated since. Neither memo changes the
-/// arithmetic — the same inputs always give the same bits — so the
-/// factors equal the plain cyclic sweep's bit for bit (DESIGN.md, "Jacobi
-/// SVD engine").
+/// The sweeps visit column pairs by anti-diagonal wave (all `(p, q)` with
+/// `p + q = s`, for `s = 1, 2, …`) instead of row by row. Every pair still
+/// sees its two columns exactly as the cyclic order `(0,1), (0,2), …`
+/// leaves them, because the pairs a column meets come in the same order
+/// in both schedules, and one wave's pairs touch disjoint columns. So the
+/// factors equal the cyclic sweep's bit for bit, while a wave's pairs run
+/// side by side: on `avx2+fma` four pairs per vector, each lane with its
+/// own in-order Gram chains (DESIGN.md, "Jacobi SVD engine").
 ///
 /// # Errors
 ///
@@ -111,156 +111,390 @@ const JACOBI_EPS: f64 = 1e-12;
 ///
 /// Panics if `a` is not order-2.
 pub fn svd_jacobi(a: &Tensor) -> Result<Svd, TensorError> {
-    let (m, n) = (a.rows(), a.cols());
-    if m < n {
-        // Work on the transpose and swap factors.
-        let t = svd_jacobi(&a.transpose())?;
-        return Ok(Svd {
-            u: t.vt.transpose(),
-            s: t.s,
-            vt: t.u.transpose(),
-        });
-    }
-    let (work, v) = jacobi_sweeps(a)?;
-
-    // Singular values = column norms; left vectors = normalized columns.
-    let col = |j: usize| &work[j * m..(j + 1) * m];
-    let mut triples: Vec<(f64, usize)> = (0..n)
-        .map(|j| (col(j).iter().map(|x| x * x).sum::<f64>().sqrt(), j))
-        .collect();
-    triples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-
-    let mut u = Tensor::zeros(&[m, n]);
-    let mut s_out = Vec::with_capacity(n);
-    let mut vt = Tensor::zeros(&[n, n]);
-    for (out_j, &(sigma, j)) in triples.iter().enumerate() {
-        s_out.push(sigma as f32);
-        if sigma > 0.0 {
-            for (row, &x) in u.data_mut().chunks_exact_mut(n).zip(col(j)) {
-                row[out_j] = (x / sigma) as f32;
-            }
-        }
-        for (out, &x) in vt.row_mut(out_j).iter_mut().zip(&v[j * n..(j + 1) * n]) {
-            *out = x as f32;
-        }
-    }
-    Ok(Svd { u, s: s_out, vt })
+    let mut state = Jacobi::new(a);
+    state.sweeps(Backend::active())?;
+    Ok(state.factors())
 }
 
-/// The sweep phase of [`svd_jacobi`] for an `m × n` input with `m ≥ n`:
-/// returns the rotated columns (`m × n`) and the accumulated right
-/// rotations (`n × n`), both column-major (column `j` of an `r`-row
-/// matrix at `[j*r..(j+1)*r]`).
-fn jacobi_sweeps(a: &Tensor) -> Result<(Vec<f64>, Vec<f64>), TensorError> {
-    let (m, n) = (a.rows(), a.cols());
-    // Count only the executing orientation (svd_jacobi's m<n wrapper
-    // recurses).
-    lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiCalls, 1);
-    // Columns of `work` are rotated until mutually orthogonal.
-    let mut work = vec![0.0f64; m * n];
-    for (i, row) in a.data().chunks_exact(n).enumerate() {
-        for (j, &x) in row.iter().enumerate() {
-            work[j * m + i] = x as f64;
-        }
-    }
-    // Accumulate right rotations into v.
-    let mut v = vec![0.0f64; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
-    // Squared norm of each column, valid until the column is rotated.
-    let mut norm2: Vec<Option<f64>> = vec![None; n];
-    // Rotations applied to each column so far, and for each pair (p, q)
-    // the two counts it was last found settled at.
-    let mut rotations = vec![0usize; n];
-    let mut settled: Vec<Option<(usize, usize)>> = vec![None; n * n];
+/// Pairs one wave group holds: two AVX2 vectors of four.
+const GROUP: usize = 8;
 
-    let mut converged = false;
-    for _sweep in 0..MAX_SWEEPS {
-        lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiSweeps, 1);
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                if settled[p * n + q] == Some((rotations[p], rotations[q])) {
-                    continue;
+/// Slack before and after each matrix in [`Jacobi::buf`], so a group's
+/// `GROUP`-column loads stay inside the buffer at every edge.
+const PAD: usize = GROUP;
+
+/// The sweep state of [`svd_jacobi`]: the `m × n` problem with `m ≥ n` (a
+/// wider input is worked on as its transpose) as f64 `work` and the
+/// accumulated right rotations `v` (`n × n`), both row-major, in one
+/// buffer laid out `[PAD | work | PAD | v | PAD]`.
+struct Jacobi {
+    m: usize,
+    n: usize,
+    /// The input was wider than tall, so `work` holds its transpose.
+    wide: bool,
+    buf: Vec<f64>,
+}
+
+/// What one group did: bit `l` of `rotated` / `settled` for lane `l`, and
+/// the largest normalised `|apq|` among the rotated lanes (`0.0` if none).
+struct GroupOutcome {
+    rotated: u32,
+    settled: u32,
+    off: f64,
+}
+
+impl Jacobi {
+    fn new(a: &Tensor) -> Jacobi {
+        let wide = a.rows() < a.cols();
+        let (m, n) = if wide {
+            (a.cols(), a.rows())
+        } else {
+            (a.rows(), a.cols())
+        };
+        let mut buf = vec![0.0f64; 3 * PAD + m * n + n * n];
+        let work = &mut buf[PAD..][..m * n];
+        if wide {
+            for (j, col) in a.data().chunks_exact(m).enumerate() {
+                for (i, &x) in col.iter().enumerate() {
+                    work[i * n + j] = x as f64;
                 }
-                let (wp, wq) = (&work[p * m..(p + 1) * m], &work[q * m..(q + 1) * m]);
-                let (app, aqq, apq) = match (norm2[p], norm2[q]) {
-                    (Some(app), Some(aqq)) => (app, aqq, dot(wp, wq)),
-                    _ => gram(wp, wq),
-                };
-                if apq.abs() <= JACOBI_EPS * (app * aqq).sqrt().max(f64::MIN_POSITIVE) {
-                    norm2[p] = Some(app);
-                    norm2[q] = Some(aqq);
-                    settled[p * n + q] = Some((rotations[p], rotations[q]));
-                    continue;
-                }
-                off = off.max(apq.abs() / (app * aqq).sqrt().max(f64::MIN_POSITIVE));
-                // Jacobi rotation zeroing the (p,q) entry of the implicit
-                // Gram matrix.
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                let (lo, hi) = work.split_at_mut(q * m);
-                rotate(&mut lo[p * m..(p + 1) * m], &mut hi[..m], c, s);
-                let (lo, hi) = v.split_at_mut(q * n);
-                rotate(&mut lo[p * n..(p + 1) * n], &mut hi[..n], c, s);
-                rotations[p] += 1;
-                rotations[q] += 1;
-                norm2[p] = None;
-                norm2[q] = None;
+            }
+        } else {
+            for (w, &x) in work.iter_mut().zip(a.data()) {
+                *w = x as f64;
             }
         }
-        if off < 1e-10 {
-            converged = true;
-            break;
+        let v = &mut buf[2 * PAD + m * n..][..n * n];
+        for i in 0..n {
+            v[i * n + i] = 1.0;
         }
+        Jacobi { m, n, wide, buf }
     }
-    if !converged {
-        return Err(TensorError::NotConverged {
+
+    fn work(&self) -> &[f64] {
+        &self.buf[PAD..][..self.m * self.n]
+    }
+
+    fn v(&self) -> &[f64] {
+        &self.buf[2 * PAD + self.m * self.n..][..self.n * self.n]
+    }
+
+    /// Runs sweeps until no pair rotates by more than `1e-10` of its norm;
+    /// returns how many ran.
+    ///
+    /// A pair found settled is not computed again while neither of its
+    /// columns has been rotated since: recomputing would find the same
+    /// three numbers and settle again, so the skip changes no bit.
+    fn sweeps(&mut self, backend: Backend) -> Result<usize, TensorError> {
+        let n = self.n;
+        lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiCalls, 1);
+        // The wave (numbered from 1 across sweeps) that last rotated each
+        // column, then the one that last found each pair `p·n + q`
+        // settled; 0 for never.
+        let mut memo = vec![0u32; n + n * n];
+        let (rotated, settled) = memo.split_at_mut(n);
+        let mut wave = 0u32;
+        for sweep in 1..=MAX_SWEEPS {
+            lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiSweeps, 1);
+            let mut off = 0.0f64;
+            for s in 1..(2 * n).saturating_sub(2) {
+                wave += 1;
+                let last = (s - 1) / 2;
+                let mut p0 = s.saturating_sub(n - 1);
+                while p0 <= last {
+                    let lanes = (last + 1 - p0).min(GROUP);
+                    let need = (0..lanes)
+                        .filter(|&l| {
+                            let (p, q) = (p0 + l, s - p0 - l);
+                            let found = settled[p * n + q];
+                            found == 0 || rotated[p] >= found || rotated[q] >= found
+                        })
+                        .fold(0u32, |bits, l| bits | 1 << l);
+                    if need != 0 {
+                        let done = self.group(backend, p0, s - p0, lanes, need);
+                        off = off.max(done.off);
+                        for l in 0..lanes {
+                            let (p, q) = (p0 + l, s - p0 - l);
+                            if done.rotated >> l & 1 != 0 {
+                                rotated[p] = wave;
+                                rotated[q] = wave;
+                            } else if done.settled >> l & 1 != 0 {
+                                settled[p * n + q] = wave;
+                            }
+                        }
+                    }
+                    p0 += lanes;
+                }
+            }
+            if off < 1e-10 {
+                return Ok(sweep);
+            }
+        }
+        Err(TensorError::NotConverged {
             algorithm: "jacobi-svd",
             iterations: MAX_SWEEPS,
-        });
+        })
     }
-    Ok((work, v))
+
+    /// Visits the pairs `(p0 + l, q0 − l)` for lanes `l < lanes`, of which
+    /// the lanes in `need` must be computed; the others may be.
+    fn group(
+        &mut self,
+        backend: Backend,
+        p0: usize,
+        q0: usize,
+        lanes: usize,
+        need: u32,
+    ) -> GroupOutcome {
+        debug_assert!((1..=GROUP).contains(&lanes) && p0 + lanes - 1 < q0 + 1 - lanes);
+        match backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx2Fma is only ever constructed after runtime
+            // detection; the group's columns lie in `0..n` and its lanes
+            // in `0..GROUP`.
+            Backend::Avx2Fma if lanes <= 4 => unsafe { self.group_avx2::<1>(p0, q0, lanes) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Avx2Fma => unsafe { self.group_avx2::<2>(p0, q0, lanes) },
+            _ => self.group_scalar(p0, q0, lanes, need),
+        }
+    }
+
+    /// Portable twin of [`Jacobi::group_avx2`]: the needed lanes one pair at
+    /// a time.
+    fn group_scalar(&mut self, p0: usize, q0: usize, lanes: usize, need: u32) -> GroupOutcome {
+        let (m, n) = (self.m, self.n);
+        let mut done = GroupOutcome {
+            rotated: 0,
+            settled: 0,
+            off: 0.0,
+        };
+        for l in (0..lanes).filter(|&l| need >> l & 1 != 0) {
+            let (p, q) = (p0 + l, q0 - l);
+            let (mut app, mut aqq, mut apq) = (0.0f64, 0.0f64, 0.0f64);
+            for row in self.work().chunks_exact(n) {
+                let (x, y) = (row[p], row[q]);
+                app += x * x;
+                aqq += y * y;
+                apq += x * y;
+            }
+            let Some((c, s, ratio)) = rotation(app, aqq, apq) else {
+                done.settled |= 1 << l;
+                continue;
+            };
+            done.rotated |= 1 << l;
+            done.off = done.off.max(ratio);
+            let (work, v) = self.buf[PAD..].split_at_mut(m * n + PAD);
+            for row in work[..m * n]
+                .chunks_exact_mut(n)
+                .chain(v[..n * n].chunks_exact_mut(n))
+            {
+                let (wp, wq) = (row[p], row[q]);
+                row[p] = c * wp - s * wq;
+                row[q] = s * wp + c * wq;
+            }
+        }
+        done
+    }
+
+    /// One wave group on AVX2, `V` vectors of four pairs: vector `j`, lane
+    /// `l` holds pair `4j + l`. Its `p` columns are contiguous in a row and
+    /// its `q` columns are too, descending, so they load as one vector
+    /// reversed. Each lane keeps three in-order chains (`mul` then `add`,
+    /// no FMA) and makes the scalar decision with four-lane `sqrt` and
+    /// `div`. The rotation stores a vector whole when all four of its
+    /// lanes rotate, and otherwise only its rotating lanes, since a settled
+    /// lane must keep its bits and the unused lanes of a short group can
+    /// alias used columns.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2 and FMA, `lanes ≤ 4V`, and
+    /// that the pairs' columns lie in `0..n`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn group_avx2<const V: usize>(
+        &mut self,
+        p0: usize,
+        q0: usize,
+        lanes: usize,
+    ) -> GroupOutcome {
+        use core::arch::x86_64::*;
+        let (m, n) = (self.m, self.n);
+        // SAFETY: the caller guarantees AVX2+FMA. Every load of row `i` of
+        // a matrix reads columns `p0..p0 + 4V` and `q0 + 1 − 4V..=q0`,
+        // which are at most `4V − 1 < PAD` elements past the row's end or
+        // before its start, so inside `buf`; the stores write only rotating
+        // lanes (a whole vector only when all four rotate), whose columns
+        // lie in `0..n`.
+        unsafe {
+            let rev = |x: __m256d| _mm256_permute4x64_pd::<0x1b>(x);
+            let work = self.buf.as_mut_ptr().add(PAD);
+            let v = work.add(m * n + PAD);
+            let (pw, qw) = (work.add(p0), work.add(q0).sub(3));
+            let zero = _mm256_setzero_pd();
+            let (mut app, mut aqq, mut apq) = ([zero; V], [zero; V], [zero; V]);
+            for i in 0..m {
+                let (pr, qr) = (pw.add(i * n), qw.add(i * n));
+                for j in 0..V {
+                    let x = _mm256_loadu_pd(pr.add(4 * j));
+                    let y = rev(_mm256_loadu_pd(qr.sub(4 * j)));
+                    app[j] = _mm256_add_pd(app[j], _mm256_mul_pd(x, x));
+                    aqq[j] = _mm256_add_pd(aqq[j], _mm256_mul_pd(y, y));
+                    apq[j] = _mm256_add_pd(apq[j], _mm256_mul_pd(x, y));
+                }
+            }
+            let one = _mm256_set1_pd(1.0);
+            let sign = _mm256_set1_pd(-0.0);
+            let lane = _mm256_set_epi64x(3, 2, 1, 0);
+            let (mut rot, mut cos, mut sin) = ([_mm256_setzero_si256(); V], [zero; V], [zero; V]);
+            let (mut rotated, mut settled, mut off) = (0u32, 0u32, zero);
+            for j in 0..V {
+                let live = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+                    _mm256_set1_epi64x((lanes - 4 * j) as i64),
+                    lane,
+                ));
+                // `max_pd(x, MIN_POSITIVE)` takes MIN_POSITIVE for a NaN `x`,
+                // as `f64::max` does.
+                let norm = _mm256_max_pd(
+                    _mm256_sqrt_pd(_mm256_mul_pd(app[j], aqq[j])),
+                    _mm256_set1_pd(f64::MIN_POSITIVE),
+                );
+                let abs = _mm256_andnot_pd(sign, apq[j]);
+                let small = _mm256_cmp_pd::<_CMP_LE_OQ>(
+                    abs,
+                    _mm256_mul_pd(_mm256_set1_pd(JACOBI_EPS), norm),
+                );
+                let turn = _mm256_andnot_pd(small, live);
+                settled |= (_mm256_movemask_pd(_mm256_and_pd(small, live)) as u32) << (4 * j);
+                rotated |= (_mm256_movemask_pd(turn) as u32) << (4 * j);
+                // `max_pd(ratio, off)` keeps `off` for a NaN ratio, as
+                // `f64::max` does.
+                let ratio = _mm256_and_pd(_mm256_div_pd(abs, norm), turn);
+                off = _mm256_max_pd(ratio, off);
+                let tau = _mm256_div_pd(
+                    _mm256_sub_pd(aqq[j], app[j]),
+                    _mm256_mul_pd(_mm256_set1_pd(2.0), apq[j]),
+                );
+                let root = _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(tau, tau)));
+                // t = 1/(tau + root) when tau ≥ 0, else −1/(−tau + root).
+                let ahead = _mm256_cmp_pd::<_CMP_GE_OQ>(tau, zero);
+                let flip = _mm256_andnot_pd(ahead, sign);
+                let t = _mm256_div_pd(
+                    _mm256_xor_pd(one, flip),
+                    _mm256_add_pd(_mm256_xor_pd(tau, flip), root),
+                );
+                cos[j] =
+                    _mm256_div_pd(one, _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))));
+                sin[j] = _mm256_mul_pd(cos[j], t);
+                rot[j] = _mm256_castpd_si256(turn);
+            }
+            let mut lanes_off = [0.0f64; 4];
+            _mm256_storeu_pd(lanes_off.as_mut_ptr(), off);
+            let off = lanes_off.iter().fold(0.0f64, |a, &b| a.max(b));
+            if rotated != 0 {
+                let rot_q = rot.map(|r| _mm256_permute4x64_epi64::<0x1b>(r));
+                for (base, rows) in [(work, m), (v, n)] {
+                    let (pb, qb) = (base.add(p0), base.add(q0).sub(3));
+                    for i in 0..rows {
+                        let (pr, qr) = (pb.add(i * n), qb.add(i * n));
+                        for j in 0..V {
+                            let x = _mm256_loadu_pd(pr.add(4 * j));
+                            let y = rev(_mm256_loadu_pd(qr.sub(4 * j)));
+                            let xn =
+                                _mm256_sub_pd(_mm256_mul_pd(cos[j], x), _mm256_mul_pd(sin[j], y));
+                            let yn =
+                                _mm256_add_pd(_mm256_mul_pd(sin[j], x), _mm256_mul_pd(cos[j], y));
+                            if rotated >> (4 * j) & 0xf == 0xf {
+                                _mm256_storeu_pd(pr.add(4 * j), xn);
+                                _mm256_storeu_pd(qr.sub(4 * j), rev(yn));
+                            } else {
+                                _mm256_maskstore_pd(pr.add(4 * j), rot[j], xn);
+                                _mm256_maskstore_pd(qr.sub(4 * j), rot_q[j], rev(yn));
+                            }
+                        }
+                    }
+                }
+            }
+            GroupOutcome {
+                rotated,
+                settled,
+                off,
+            }
+        }
+    }
+
+    /// `u`, `s` and `vt` from the converged state: singular values are the
+    /// column norms of `work` (sorted descending), left vectors its
+    /// normalised columns, right vectors the columns of `v`; a wide input
+    /// swaps the two sides.
+    fn factors(&self) -> Svd {
+        let (m, n) = (self.m, self.n);
+        let (work, v) = (self.work(), self.v());
+        let mut triples: Vec<(f64, usize)> = (0..n)
+            .map(|j| {
+                let norm = (0..m)
+                    .map(|i| work[i * n + j] * work[i * n + j])
+                    .sum::<f64>()
+                    .sqrt();
+                (norm, j)
+            })
+            .collect();
+        triples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        // The tall problem's `u` is `m × n` and its `vt` is `n × n`; a wide
+        // input's are `vt` and `u` transposed.
+        let (mut u, mut vt) = if self.wide {
+            (Tensor::zeros(&[n, n]), Tensor::zeros(&[n, m]))
+        } else {
+            (Tensor::zeros(&[m, n]), Tensor::zeros(&[n, n]))
+        };
+        let mut s_out = Vec::with_capacity(n);
+        for (out_j, &(sigma, j)) in triples.iter().enumerate() {
+            s_out.push(sigma as f32);
+            let left = (0..m).map(|i| (work[i * n + j] / sigma) as f32);
+            let right = (0..n).map(|i| v[i * n + j] as f32);
+            if self.wide {
+                if sigma > 0.0 {
+                    vt.row_mut(out_j)
+                        .iter_mut()
+                        .zip(left)
+                        .for_each(|(o, x)| *o = x);
+                }
+                for (row, x) in u.data_mut().chunks_exact_mut(n).zip(right) {
+                    row[out_j] = x;
+                }
+            } else {
+                if sigma > 0.0 {
+                    for (row, x) in u.data_mut().chunks_exact_mut(n).zip(left) {
+                        row[out_j] = x;
+                    }
+                }
+                vt.row_mut(out_j)
+                    .iter_mut()
+                    .zip(right)
+                    .for_each(|(o, x)| *o = x);
+            }
+        }
+        Svd { u, s: s_out, vt }
+    }
 }
 
-/// `Σ x_i·y_i` accumulated in index order from `0.0`: the one summation
-/// order every Gram entry uses, so recomputing an entry over unchanged
-/// columns reproduces it bit for bit.
-fn dot(x: &[f64], y: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        acc += a * b;
+/// The rotation zeroing the `(p, q)` entry of the implicit Gram matrix
+/// `[[app, apq], [apq, aqq]]`: `(c, s, |apq|/√(app·aqq))`, or `None` when
+/// the pair is already orthogonal to `JACOBI_EPS`.
+fn rotation(app: f64, aqq: f64, apq: f64) -> Option<(f64, f64, f64)> {
+    let norm = (app * aqq).sqrt().max(f64::MIN_POSITIVE);
+    if apq.abs() <= JACOBI_EPS * norm {
+        return None;
     }
-    acc
-}
-
-/// `(x·x, y·y, x·y)` in one pass: three independent chains, each with
-/// [`dot`]'s operation order, so each equals its own [`dot`] call.
-fn gram(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
-    let (mut xx, mut yy, mut xy) = (0.0, 0.0, 0.0);
-    for (a, b) in x.iter().zip(y) {
-        xx += a * a;
-        yy += b * b;
-        xy += a * b;
-    }
-    (xx, yy, xy)
-}
-
-/// Applies the plane rotation `(xp, xq) ← (c·xp − s·xq, s·xp + c·xq)`
-/// element-wise to two columns.
-fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
-    for (a, b) in xp.iter_mut().zip(xq) {
-        let (wp, wq) = (*a, *b);
-        *a = c * wp - s * wq;
-        *b = s * wp + c * wq;
-    }
+    let tau = (aqq - app) / (2.0 * apq);
+    let t = if tau >= 0.0 {
+        1.0 / (tau + (1.0 + tau * tau).sqrt())
+    } else {
+        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    Some((c, c * t, apq.abs() / norm))
 }
 
 /// Size threshold below which [`truncated_svd`] uses the Jacobi engine
@@ -404,16 +638,15 @@ mod tests {
     use super::*;
     use crate::qr::orthonormality_error;
 
-    // The row-major engine that [`svd_jacobi`] replaced, kept verbatim as
-    // the bit-equality oracle for its column-major, memoised rewrite. It is
-    // split only where the sweeps end, so tests compare the f64 state
-    // before the f32 rounding of the factors can hide a difference.
+    // The cyclic row-major engine that [`svd_jacobi`]'s wave schedule
+    // replaced, kept verbatim as the bit-equality oracle. It is split only
+    // where the sweeps end, so tests compare the f64 state before the f32
+    // rounding of the factors can hide a difference.
 
     /// The reference sweeps for `m ≥ n`: `work` (`m × n`) and `v`
-    /// (`n × n`), both row-major.
-    fn reference_sweeps(a: &Tensor) -> Result<(Vec<f64>, Vec<f64>), TensorError> {
+    /// (`n × n`), both row-major, and the number of sweeps run.
+    fn reference_sweeps(a: &Tensor) -> Result<(Vec<f64>, Vec<f64>, usize), TensorError> {
         let (m, n) = (a.rows(), a.cols());
-        lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiCalls, 1);
         // Columns of `work` are rotated until mutually orthogonal.
         let mut work: Vec<f64> = a.data().iter().map(|&x| x as f64).collect();
         // Accumulate right rotations into v (n×n).
@@ -430,9 +663,7 @@ mod tests {
             acc
         };
 
-        let mut converged = false;
-        for _sweep in 0..MAX_SWEEPS {
-            lrd_trace::counters::add(lrd_trace::Counter::SvdJacobiSweeps, 1);
+        for sweep in 1..=MAX_SWEEPS {
             let mut off = 0.0f64;
             for p in 0..n {
                 for q in (p + 1)..n {
@@ -468,17 +699,13 @@ mod tests {
                 }
             }
             if off < 1e-10 {
-                converged = true;
-                break;
+                return Ok((work, v, sweep));
             }
         }
-        if !converged {
-            return Err(TensorError::NotConverged {
-                algorithm: "jacobi-svd",
-                iterations: MAX_SWEEPS,
-            });
-        }
-        Ok((work, v))
+        Err(TensorError::NotConverged {
+            algorithm: "jacobi-svd",
+            iterations: MAX_SWEEPS,
+        })
     }
 
     /// The reference engine: [`reference_sweeps`] and its finalisation.
@@ -493,7 +720,7 @@ mod tests {
                 vt: t.u.transpose(),
             });
         }
-        let (work, v) = reference_sweeps(a)?;
+        let (work, v, _) = reference_sweeps(a)?;
 
         // Singular values = column norms; left vectors = normalized columns.
         let mut triples: Vec<(f64, usize)> = (0..n)
@@ -524,9 +751,17 @@ mod tests {
         Ok(Svd { u, s: s_out, vt })
     }
 
-    /// Asserts `svd_jacobi(a)` equals the reference engine bit for bit:
-    /// the f64 sweep state (`work` and `v`, layouts aside), then every
-    /// `u`, `s` and `vt` element, or the same error.
+    fn f64_bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|y| y.to_bits()).collect()
+    }
+
+    fn f32_bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|y| y.to_bits()).collect()
+    }
+
+    /// Asserts the wave engine equals the reference engine bit for bit on
+    /// every backend: the f64 sweep state (`work` and `v`) and the sweep
+    /// count, then every `u`, `s` and `vt` element, or the same error.
     fn assert_matches_reference(a: &Tensor) {
         let dims = a.dims().to_vec();
         let tall = if a.rows() < a.cols() {
@@ -534,36 +769,84 @@ mod tests {
         } else {
             a.clone()
         };
-        match (jacobi_sweeps(&tall), reference_sweeps(&tall)) {
-            (Ok((work, v)), Ok((ref_work, ref_v))) => {
-                let (m, n) = (tall.rows(), tall.cols());
-                // Column-major `[j*r + i]` against row-major `[i*c + j]`.
-                let row_major = |x: &[f64], r: usize, c: usize| -> Vec<u64> {
-                    (0..r * c)
-                        .map(|k| x[(k % c) * r + k / c].to_bits())
-                        .collect()
-                };
-                let bits = |x: &[f64]| x.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    row_major(&work, m, n),
-                    bits(&ref_work),
-                    "work, input {dims:?}"
-                );
-                assert_eq!(row_major(&v, n, n), bits(&ref_v), "v, input {dims:?}");
+        let (want, want_svd) = (reference_sweeps(&tall), svd_jacobi_reference(a));
+        for backend in crate::kernel::tests::backends() {
+            let what = format!("input {dims:?} on {}", backend.name());
+            let mut state = Jacobi::new(a);
+            match (state.sweeps(backend), &want) {
+                (Ok(sweeps), Ok((work, v, want_sweeps))) => {
+                    assert_eq!(f64_bits(state.work()), f64_bits(work), "work, {what}");
+                    assert_eq!(f64_bits(state.v()), f64_bits(v), "v, {what}");
+                    assert_eq!(sweeps, *want_sweeps, "sweeps, {what}");
+                }
+                (got, want) => {
+                    assert_eq!(got.err(), want.as_ref().err().cloned(), "{what}");
+                    continue;
+                }
             }
-            (got, want) => assert_eq!(got.err(), want.err(), "input {dims:?}"),
+            let (got, want) = (
+                state.factors(),
+                want_svd.as_ref().expect("reference factors"),
+            );
+            assert_eq!(got.u.dims(), want.u.dims(), "u shape, {what}");
+            assert_eq!(got.vt.dims(), want.vt.dims(), "vt shape, {what}");
+            assert_eq!(f32_bits(got.u.data()), f32_bits(want.u.data()), "u, {what}");
+            assert_eq!(f32_bits(&got.s), f32_bits(&want.s), "s, {what}");
+            assert_eq!(
+                f32_bits(got.vt.data()),
+                f32_bits(want.vt.data()),
+                "vt, {what}"
+            );
         }
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        match (svd_jacobi(a), svd_jacobi_reference(a)) {
-            (Ok(got), Ok(want)) => {
-                assert_eq!(got.u.dims(), want.u.dims(), "u shape, input {dims:?}");
-                assert_eq!(got.vt.dims(), want.vt.dims(), "vt shape, input {dims:?}");
-                assert_eq!(bits(&got.u), bits(&want.u), "u bits, input {dims:?}");
-                let s_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(s_bits(&got.s), s_bits(&want.s), "s bits, input {dims:?}");
-                assert_eq!(bits(&got.vt), bits(&want.vt), "vt bits, input {dims:?}");
+    }
+
+    #[test]
+    fn wave_engine_matches_reference_at_every_small_width() {
+        let mut rng = Rng64::new(33);
+        for n in (1..=17).chain([40, 41]) {
+            for m in [1, n, 112] {
+                assert_matches_reference(&Tensor::randn(&[m, n], &mut rng).scale(0.05));
             }
-            (got, want) => assert_eq!(got.err(), want.err(), "input {dims:?}"),
+        }
+    }
+
+    #[test]
+    fn short_group_lanes_that_alias_used_columns_are_not_written() {
+        // At n = 40, wave 9 is the five pairs (0,9) … (4,5): one group whose
+        // unused p lanes 5, 6 and 7 are the q columns of lanes 4, 3 and 2.
+        let (n, s, p0, lanes) = (40, 9, 0, 5);
+        let mut rng = Rng64::new(34);
+        let a = Tensor::randn(&[56, n], &mut rng);
+        let want = {
+            let mut state = Jacobi::new(&a);
+            state.group(Backend::Scalar, p0, s - p0, lanes, (1 << lanes) - 1);
+            state.buf
+        };
+        for backend in crate::kernel::tests::backends() {
+            let mut state = Jacobi::new(&a);
+            let done = state.group(backend, p0, s - p0, lanes, (1 << lanes) - 1);
+            assert_eq!(done.rotated, (1 << lanes) - 1, "{}", backend.name());
+            assert_eq!(f64_bits(&state.buf), f64_bits(&want), "{}", backend.name());
+        }
+    }
+
+    #[test]
+    fn wave_engine_matches_reference_on_tiny_llama_weights() {
+        // 32 layers of Xavier-initialised weights as the tiny-Llama draws
+        // them: q/k/v/o 40×40, gate/up 40×112 and down 112×40.
+        let xavier = |fan_in: usize, fan_out: usize, rng: &mut Rng64| {
+            let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
+            Tensor::randn_scaled(&[fan_in, fan_out], std, rng)
+        };
+        let mut rng = Rng64::new(7);
+        for _layer in 0..32 {
+            for (fan_in, fan_out) in
+                [(40, 40); 4]
+                    .into_iter()
+                    .chain([(40, 112), (40, 112), (112, 40)])
+            {
+                assert_matches_reference(&xavier(fan_in, fan_out, &mut rng));
+            }
         }
     }
 
