@@ -1,6 +1,6 @@
-//! Evaluation-harness throughput: multiple-choice scoring and greedy
-//! exact-match generation on the tiny model, and multiple-choice scoring
-//! at the Table-4 sweep's shape.
+//! Evaluation-harness throughput: multiple-choice scoring and greedy exact
+//! match (teacher-forced, through the same batched loop) on a small
+//! decoder, and multiple-choice scoring at the Table-4 sweep's shape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lrd_eval::harness::{evaluate, EvalOptions};

@@ -6,7 +6,7 @@ use lrd_eval::World;
 use lrd_nn::checkpoint::{load_model, save_model};
 use lrd_nn::train::{TrainConfig, Trainer};
 use lrd_nn::TransformerLm;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Schema identifier of the `BENCH_suite.json` document `repro` emits.
 pub const SUITE_SCHEMA_NAME: &str = "lrd-bench-suite";
@@ -237,11 +237,6 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf 
         eprintln!("[csv] failed to write {}: {e}", path.display());
     }
     path
-}
-
-/// Removes a cached checkpoint (used by `repro train --force`).
-pub fn clear_cache(path: &Path) {
-    std::fs::remove_file(path).ok();
 }
 
 #[cfg(test)]

@@ -19,9 +19,10 @@
 //!   with skewed training exposure (MMLU), truth-vs-frequency conflict
 //!   (TruthfulQA), context-dependent binary choice (WinoGrande), and
 //!   8-shot exact-match arithmetic (GSM8K).
-//! * [`harness`] — lm-eval-style evaluation: batched length-normalized
-//!   log-likelihood scoring for multiple choice and greedy-decoding exact
-//!   match for generation, parallelized across CPU threads.
+//! * [`harness`] — lm-eval-style evaluation: length-normalized
+//!   log-likelihood for multiple choice, teacher-forced greedy exact match
+//!   for generation and cloze for encoders, all read from logits rows that
+//!   one batched loop feeds, parallelized across CPU threads.
 //! * [`corpus`] — the training-corpus builder whose mixing weights give the
 //!   trained model its benchmark-dependent accuracy margins.
 

@@ -9,7 +9,10 @@ pub enum ScoringMode {
     /// Length-normalized log-likelihood over answer choices (ARC,
     /// HellaSwag, MMLU, TruthfulQA, WinoGrande).
     MultipleChoice,
-    /// Greedy generation compared by exact match (GSM8K).
+    /// Greedy generation compared by exact match (GSM8K), scored by
+    /// teacher forcing: every reference token must be the argmax of the
+    /// row that predicts it, and greedy decoding's `EOS` and `max_seq`
+    /// stops must not cut the reference short.
     ExactMatch,
     /// Encoder cloze scoring: the prompt contains one
     /// [`crate::vocab::MASK`] token; single-token choices are compared by

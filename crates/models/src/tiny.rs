@@ -48,23 +48,6 @@ pub fn tiny_llama_descriptor() -> TransformerDescriptor {
     }
 }
 
-/// Analytic descriptor matching [`tiny_bert_config`].
-pub fn tiny_bert_descriptor() -> TransformerDescriptor {
-    let c = tiny_bert_config();
-    TransformerDescriptor {
-        name: "TinyBert-12L",
-        family: TransformerFamily::Bert,
-        vocab_size: c.vocab_size,
-        d_model: c.d_model,
-        n_layers: c.n_layers,
-        n_heads: c.n_heads,
-        n_kv_heads: c.n_kv_heads,
-        d_ff: c.d_ff,
-        max_seq: c.max_seq,
-        table2_tensor_count: 6,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,14 +41,6 @@ impl Linear {
         }
     }
 
-    /// Builds a layer from an existing weight matrix (no bias).
-    pub fn from_weight(w: Tensor) -> Self {
-        Linear {
-            w: Param::new(w),
-            b: None,
-        }
-    }
-
     /// Input width.
     pub fn fan_in(&self) -> usize {
         self.w.value.rows()

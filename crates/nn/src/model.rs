@@ -1,6 +1,5 @@
 //! The full transformer language model.
 
-use crate::act::log_softmax_rows;
 use crate::block::{BlockCache, DecoderBlock, EncoderBlock, TransformerBlock};
 use crate::config::{ArchKind, TransformerConfig};
 use crate::decode::DecodeError;
@@ -290,33 +289,6 @@ impl TransformerLm {
         }
     }
 
-    /// Sum of log-probabilities of `continuation` given `prefix`
-    /// (decoder-only scoring, exactly the quantity the lm-eval-style harness
-    /// uses for multiple-choice benchmarks). Also returns the number of
-    /// scored tokens, for length normalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `continuation` is empty or the combined length exceeds
-    /// `max_seq`.
-    pub fn score_continuation(&self, prefix: &[usize], continuation: &[usize]) -> (f32, usize) {
-        assert!(!continuation.is_empty(), "empty continuation");
-        let mut tokens = prefix.to_vec();
-        tokens.extend_from_slice(continuation);
-        let logits = self.logits(&tokens, 1);
-        let logp = log_softmax_rows(&logits);
-        let mut sum = 0.0f32;
-        // Token at position i+1 is predicted from position i.
-        let start = prefix.len().max(1) - 1;
-        for i in start..tokens.len() - 1 {
-            sum += logp.get(&[i, tokens[i + 1]]);
-        }
-        // When the prefix is empty the first continuation token has no
-        // conditioning position and is skipped.
-        let scored = tokens.len() - 1 - start;
-        (sum, scored)
-    }
-
     /// Incremental decoding state: one KV cache per decoder layer plus the
     /// running position. Every cache's full `max_seq` capacity is reserved
     /// here, so the session's memory footprint is fixed at creation.
@@ -410,77 +382,6 @@ impl TransformerLm {
         }
         let nx = self.final_norm.infer(&x);
         Ok(self.lm_head.infer(&nx))
-    }
-
-    /// Greedy generation using the KV cache: O(context) work per new token
-    /// instead of O(context²) full recomputes. Produces exactly the same
-    /// tokens as [`TransformerLm::generate_greedy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TransformerLm::decode_step`] failures (encoder model,
-    /// out-of-range prompt token).
-    pub fn generate_greedy_cached(
-        &self,
-        prompt: &[usize],
-        max_new: usize,
-        stop_token: Option<usize>,
-    ) -> Result<Vec<usize>, DecodeError> {
-        let mut state = self.new_decode_state();
-        let mut logits = Tensor::zeros(&[1, self.cfg.vocab_size]);
-        for &t in prompt {
-            logits = self.decode_step(t, &mut state)?;
-        }
-        let mut out = Vec::new();
-        for _ in 0..max_new {
-            if state.pos >= self.cfg.max_seq {
-                break;
-            }
-            let row = logits.row(0);
-            let next = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.push(next);
-            if Some(next) == stop_token {
-                break;
-            }
-            if out.len() < max_new && state.pos < self.cfg.max_seq {
-                logits = self.decode_step(next, &mut state)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Greedy (argmax) generation of up to `max_new` tokens, stopping early
-    /// if `stop_token` is produced.
-    pub fn generate_greedy(
-        &self,
-        prompt: &[usize],
-        max_new: usize,
-        stop_token: Option<usize>,
-    ) -> Vec<usize> {
-        let mut tokens = prompt.to_vec();
-        for _ in 0..max_new {
-            if tokens.len() >= self.cfg.max_seq {
-                break;
-            }
-            let logits = self.logits(&tokens, 1);
-            let last = logits.row(logits.rows() - 1);
-            let next = last
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            tokens.push(next);
-            if Some(next) == stop_token {
-                break;
-            }
-        }
-        tokens[prompt.len()..].to_vec()
     }
 
     /// Visits every parameter as `(name, param)` pairs (optimizer and
@@ -647,36 +548,37 @@ mod tests {
     }
 
     #[test]
-    fn score_continuation_prefers_trained_pattern() {
-        // An untrained model gives roughly uniform scores; check bookkeeping.
-        let m = tiny(ArchKind::Decoder, 2);
-        let (lp, n) = m.score_continuation(&[1, 2], &[3, 4]);
-        assert_eq!(n, 2);
-        assert!(lp < 0.0);
-        // Scoring with an empty prefix skips the unconditioned first token.
-        let (_, n2) = m.score_continuation(&[], &[3, 4, 5]);
-        assert_eq!(n2, 2);
-    }
-
-    #[test]
-    fn generate_greedy_is_deterministic_and_bounded() {
-        let m = tiny(ArchKind::Decoder, 2);
-        let g1 = m.generate_greedy(&[1, 2, 3], 4, None);
-        let g2 = m.generate_greedy(&[1, 2, 3], 4, None);
-        assert_eq!(g1, g2);
-        assert!(g1.len() <= 4);
-        // Stops at max_seq.
-        let g3 = m.generate_greedy(&[1; 10], 100, None);
-        assert!(g3.len() <= 2);
-    }
-
-    #[test]
     fn cached_generation_matches_full_recompute() {
+        // Greedy decoding through the KV cache picks, at every step, the
+        // token that the argmax of a full `logits` pass over the same
+        // prefix picks.
         let m = tiny(ArchKind::Decoder, 3);
+        let argmax = |row: &[f32]| {
+            row.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        };
         for prompt in [vec![1usize, 2, 3], vec![7, 7], vec![4, 9, 2, 11]] {
-            let full = m.generate_greedy(&prompt, 5, None);
-            let cached = m.generate_greedy_cached(&prompt, 5, None).unwrap();
-            assert_eq!(full, cached, "prompt {prompt:?}");
+            let mut state = m.new_decode_state();
+            let mut logits = Tensor::zeros(&[1, 16]);
+            for &t in &prompt {
+                logits = m.decode_step(t, &mut state).unwrap();
+            }
+            let mut tokens = prompt.clone();
+            for _ in 0..5 {
+                let next = argmax(logits.row(0));
+                let full = m.logits(&tokens, 1);
+                assert_eq!(
+                    next,
+                    argmax(full.row(tokens.len() - 1)),
+                    "prompt {prompt:?}, position {}",
+                    tokens.len()
+                );
+                tokens.push(next);
+                logits = m.decode_step(next, &mut state).unwrap();
+            }
         }
     }
 

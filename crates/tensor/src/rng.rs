@@ -67,11 +67,6 @@ impl Rng64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniform `f32` in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.uniform() as f32
-    }
-
     /// Returns a uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -110,15 +105,6 @@ impl Rng64 {
         }
     }
 
-    /// Picks a uniformly random element of `slice`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.below(slice.len())]
-    }
-
     /// Derives an independent child generator; useful for giving each
     /// subsystem its own deterministic stream.
     pub fn fork(&mut self) -> Rng64 {
@@ -148,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_in_unit_interval() {
+    fn uniform_is_in_unit_interval() {
         let mut r = Rng64::new(7);
         for _ in 0..10_000 {
             let u = r.uniform();

@@ -38,8 +38,8 @@ pub enum Counter {
     EvalSamplesScored,
     /// Cloze samples skipped because the prompt had no MASK token.
     EvalClozeMissingMask,
-    /// Token positions the eval harness feeds through `logits` for
-    /// multiple-choice and cloze scoring, padding included.
+    /// Token positions the eval harness feeds through `logits` (multiple
+    /// choice, exact match and cloze), padding included.
     EvalTokensForwarded,
     /// Sweep points evaluated by study executors (including failed ones).
     SweepPoints,
